@@ -17,14 +17,16 @@
 //!   service in steps ([`ladder_rung`]): shrink estimation repeats →
 //!   serve last-trusted curves without running → reject with
 //!   `Retry-After`.
-//! * **Backpressure.** Accepted connections enter a bounded queue
-//!   sharded over a worker pool sized by
-//!   [`slice_tuner::plan_thread_budget`]; past the high-water mark the
+//! * **Backpressure.** One acceptor thread blocks in `accept` and hands
+//!   each connection to a bounded queue sharded over a worker pool sized
+//!   by [`slice_tuner::plan_thread_budget`]; past the high-water mark the
 //!   acceptor answers `429` with a backoff hint instead of queueing.
-//! * **Graceful shutdown.** `POST /shutdown` flips readiness first,
-//!   drains the pending queue, flushes checkpoints (they are always
-//!   flushed — atomic save per round), sweeps orphan temp files, and
-//!   only then lets liveness go.
+//!   Transient accept errors never stop it.
+//! * **Graceful shutdown.** `POST /shutdown` flips readiness first, sets
+//!   the drain flag, and wakes the blocked acceptor with one loopback
+//!   self-connect, which it drops uncounted before exiting. Workers then
+//!   drain the pending queue; checkpoints need no flush (atomic save per
+//!   round); orphan temp files are swept, and only then does liveness go.
 //!
 //! ## Fault injection
 //!
@@ -68,7 +70,8 @@ use slice_tuner::checkpoint::clean_orphan_temps;
 use slice_tuner::plan_thread_budget;
 use st_linalg::fault;
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -143,6 +146,45 @@ pub fn ladder_rung(spent_ms: u64, budget_ms: u64) -> Rung {
     }
 }
 
+/// What the acceptor does after a failed `accept`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptAction {
+    /// The failure belonged to one connection: accept the next.
+    Retry,
+    /// Out of file descriptors: back off for [`ACCEPT_PAUSE`], then
+    /// accept again once in-flight connections have closed.
+    Pause,
+    /// The listener itself is broken: stop accepting and report
+    /// not-ready.
+    Stop,
+}
+
+/// How long the acceptor backs off when out of file descriptors.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(50);
+
+/// Classifies an `accept` error as a pure function, so it can be tested
+/// without provoking the error.
+fn on_accept_error(e: &std::io::Error) -> AcceptAction {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    match (e.kind(), e.raw_os_error()) {
+        (ErrorKind::ConnectionAborted | ErrorKind::Interrupted, _) => AcceptAction::Retry,
+        (_, Some(ENFILE | EMFILE)) => AcceptAction::Pause,
+        _ => AcceptAction::Stop,
+    }
+}
+
+/// Where a self-connect reaches a listener bound to `addr`: an
+/// unspecified bind IP (`0.0.0.0`, `::`) maps to loopback of its family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 /// What graceful shutdown accomplished, returned by [`ServerHandle::wait`].
 #[derive(Debug, Clone, Copy)]
 pub struct DrainReport {
@@ -208,6 +250,7 @@ struct Shared {
     sessions: Mutex<HashMap<u64, Arc<Mutex<Session>>>>,
     next_id: AtomicU64,
     /// Accepted-connection counter; ordinals for `conn_drop@<req>`.
+    /// Connections accepted after drain began are not counted.
     requests: AtomicU64,
     ready: AtomicBool,
     draining: AtomicBool,
@@ -216,6 +259,8 @@ struct Shared {
     /// thread budget.
     estimator_threads: usize,
     drained_jobs: AtomicUsize,
+    /// Where the drain's self-connect reaches the listener.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
@@ -226,6 +271,10 @@ impl Shared {
         self.drained_jobs.store(self.gate.len(), Ordering::SeqCst);
         self.draining.store(true, Ordering::SeqCst);
         self.gate.cv.notify_all();
+        // The acceptor is blocked in `accept`: one self-connect wakes it
+        // to see the flag. The kernel completes the handshake from the
+        // listen backlog, so this never waits on the acceptor.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 }
 
@@ -293,9 +342,6 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
 
     let listener =
         TcpListener::bind(&cfg.addr).map_err(|e| format!("binding '{}': {e}", cfg.addr))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking accept: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
     let total_workers = if cfg.workers == 0 {
@@ -318,6 +364,7 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
         },
         estimator_threads: budget.estimator_threads,
         drained_jobs: AtomicUsize::new(0),
+        wake_addr: wake_addr(addr),
         cfg,
     });
 
@@ -341,34 +388,41 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
 
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => match on_accept_error(&e) {
+                AcceptAction::Retry => continue,
+                AcceptAction::Pause => {
+                    std::thread::sleep(ACCEPT_PAUSE);
+                    continue;
+                }
+                AcceptAction::Stop => {
+                    shared.ready.store(false, Ordering::SeqCst);
+                    break;
+                }
+            },
+        };
+        // Drain began: this is the wake-up self-connect (or a client
+        // racing it). Drop it before it gets a `requests` ordinal.
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let ordinal = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
-                let job = Job {
-                    stream,
-                    ordinal,
-                    enqueued: Instant::now(),
-                };
-                if let Err(mut rejected) = shared.gate.push(job, shared.cfg.queue_depth) {
-                    // Past the high-water mark: immediate backpressure
-                    // with a backoff hint, never an unbounded queue.
-                    let resp = Response::error(
-                        429,
-                        "backpressure",
-                        "pending queue is at its high-water mark; retry with backoff",
-                    )
-                    .with_retry_after(1);
-                    let _ = write_response(&mut rejected.stream, &resp);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+        let ordinal = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
+        let job = Job {
+            stream,
+            ordinal,
+            enqueued: Instant::now(),
+        };
+        if let Err(mut rejected) = shared.gate.push(job, shared.cfg.queue_depth) {
+            // Past the high-water mark: immediate backpressure with a
+            // backoff hint, never an unbounded queue.
+            let resp = Response::error(
+                429,
+                "backpressure",
+                "pending queue is at its high-water mark; retry with backoff",
+            )
+            .with_retry_after(1);
+            let _ = write_response(&mut rejected.stream, &resp);
         }
     }
 }
@@ -591,6 +645,42 @@ mod tests {
         // MAX/2 floors to just *below* the 50% threshold).
         assert_eq!(ladder_rung(u64::MAX / 2, u64::MAX), Rung::Full);
         assert_eq!(ladder_rung(u64::MAX / 2 + 1, u64::MAX), Rung::ShrinkRepeats);
+    }
+
+    #[test]
+    fn accept_errors_retry_pause_or_stop() {
+        use std::io::Error;
+        for kind in [ErrorKind::ConnectionAborted, ErrorKind::Interrupted] {
+            assert_eq!(on_accept_error(&Error::from(kind)), AcceptAction::Retry);
+        }
+        // ENFILE and EMFILE: out of descriptors, back off.
+        for errno in [23, 24] {
+            let e = Error::from_raw_os_error(errno);
+            assert_eq!(on_accept_error(&e), AcceptAction::Pause, "{e}");
+        }
+        // EBADF (9) and EINVAL (22): the listener itself is gone.
+        for errno in [9, 22] {
+            let e = Error::from_raw_os_error(errno);
+            assert_eq!(on_accept_error(&e), AcceptAction::Stop, "{e}");
+        }
+        assert_eq!(
+            on_accept_error(&Error::from(ErrorKind::Other)),
+            AcceptAction::Stop
+        );
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback() {
+        let cases = [
+            ("0.0.0.0:7171", "127.0.0.1:7171"),
+            ("[::]:7171", "[::1]:7171"),
+            ("127.0.0.1:7171", "127.0.0.1:7171"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+        ];
+        for (bound, want) in cases {
+            let bound: SocketAddr = bound.parse().expect("addr");
+            assert_eq!(wake_addr(bound).to_string(), want);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use serde::json::Value;
 use slice_tuner::checkpoint::{self, RoundCheckpoint};
 use slice_tuner::{PoolSource, SliceTuner, Strategy, TSchedule, TunerConfig};
 use st_curve::{EstimationMode, PowerLaw};
-use st_data::{families, io, DatasetFamily, SlicedDataset};
+use st_data::{families, io, DatasetFamily, Example, SlicedDataset};
 use st_linalg::fault;
 use st_models::ModelSpec;
 use std::collections::HashMap;
@@ -231,16 +231,30 @@ impl Session {
             self.spec.validation,
             self.spec.seed,
         );
-        match std::fs::read_to_string(&self.csv_path) {
-            Ok(text) => {
-                let extra = io::read_examples_bounded(&text, self.family.num_slices())
-                    .map_err(|e| format!("stored CSV no longer parses: {e}"))?;
-                ds.try_absorb(extra).map_err(|e| e.to_string())?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(format!("reading stored CSV: {e}")),
-        }
+        ds.try_absorb(self.uploaded_examples()?)
+            .map_err(|e| e.to_string())?;
         Ok(ds)
+    }
+
+    /// The stored CSV's examples; empty when nothing was uploaded.
+    fn uploaded_examples(&self) -> Result<Vec<Example>, String> {
+        match std::fs::read_to_string(&self.csv_path) {
+            Ok(text) => io::read_examples_bounded(&text, self.family.num_slices())
+                .map_err(|e| format!("stored CSV no longer parses: {e}")),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+            Err(e) => Err(format!("reading stored CSV: {e}")),
+        }
+    }
+
+    /// Per-slice training sizes of [`Self::build_dataset`] — registered
+    /// sizes plus the uploaded examples per slice — without generating
+    /// the dataset.
+    fn train_sizes(&self) -> Result<Vec<usize>, String> {
+        let mut sizes = self.spec.sizes.clone();
+        for e in self.uploaded_examples()? {
+            sizes[e.slice.index()] += 1;
+        }
+        Ok(sizes)
     }
 
     fn config(&self, halt_after: u64, repeats: usize, threads: usize) -> TunerConfig {
@@ -325,8 +339,7 @@ impl Session {
     /// Current per-slice training sizes implied by the checkpoint:
     /// initial + uploaded + pre-pass + all recorded round acquisitions.
     fn sizes_after(&self, cp: &RoundCheckpoint) -> Result<Vec<f64>, String> {
-        let ds = self.build_dataset()?;
-        let mut sizes: Vec<f64> = ds.train_sizes().iter().map(|&s| s as f64).collect();
+        let mut sizes: Vec<f64> = self.train_sizes()?.iter().map(|&s| s as f64).collect();
         for (i, &n) in cp.pre_pass.iter().enumerate() {
             if let Some(s) = sizes.get_mut(i) {
                 *s += n as f64;
@@ -541,6 +554,70 @@ mod tests {
         s.advance(1, 1, 1).expect("advance");
         let err = s.upload_csv(csv).expect_err("locked after start");
         assert!(err.contains("locked"), "{err}");
+    }
+
+    /// The allocation as it was computed before [`Session::train_sizes`]:
+    /// from the regenerated dataset's sizes.
+    fn allocation_from_rebuilt_dataset(s: &Session) -> (Vec<f64>, f64) {
+        let cp = s.load_checkpoint().expect("load").expect("present");
+        let curves: Vec<PowerLaw> = s
+            .curves()
+            .expect("curves")
+            .iter()
+            .map(|fit| match fit {
+                Ok((b, a)) => PowerLaw::new(f64::from_bits(*b), f64::from_bits(*a)),
+                Err(_) => PowerLaw::new(1.0, 0.3),
+            })
+            .collect();
+        let mut sizes: Vec<f64> = s
+            .build_dataset()
+            .expect("dataset")
+            .train_sizes()
+            .iter()
+            .map(|&n| n as f64)
+            .collect();
+        for acquired in std::iter::once(&cp.pre_pass).chain(&cp.rounds) {
+            for (size, &n) in sizes.iter_mut().zip(acquired) {
+                *size += n as f64;
+            }
+        }
+        let remaining = f64::from_bits(cp.remaining_bits).max(0.0);
+        let problem =
+            st_optim::AcquisitionProblem::new(curves, sizes, s.family.costs(), remaining, 1.0);
+        let d = st_optim::solve_projected(&problem, &st_optim::SolverOptions::default());
+        (d, remaining)
+    }
+
+    #[test]
+    fn train_sizes_match_the_rebuilt_dataset_and_keep_the_allocation_bits() {
+        let feats = ["0.25"; 12].join(",");
+        let csv: String = [0, 2, 2, 3, 2]
+            .iter()
+            .map(|slice| format!("1,{slice},{feats}\n"))
+            .collect();
+        for (tag, upload) in [("sizes_plain", None), ("sizes_csv", Some(csv.as_str()))] {
+            let dir = tmpdir(tag);
+            let mut s = Session::new(0, census_spec(), &dir).expect("session");
+            if let Some(body) = upload {
+                s.upload_csv(body).expect("upload");
+            }
+            let sizes = s.train_sizes().expect("sizes");
+            assert_eq!(
+                sizes,
+                s.build_dataset().expect("dataset").train_sizes(),
+                "{tag}"
+            );
+            if upload.is_some() {
+                // [80,20,60,25] registered + [1,0,3,1] uploaded.
+                assert_eq!(sizes, vec![81, 20, 63, 26]);
+            }
+            s.advance(1, 1, 1).expect("advance");
+            let (d, remaining) = s.allocation().expect("allocation");
+            let (want_d, want_remaining) = allocation_from_rebuilt_dataset(&s);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&d), bits(&want_d), "{tag}");
+            assert_eq!(remaining.to_bits(), want_remaining.to_bits(), "{tag}");
+        }
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! retry, bit-identically to an uninterrupted in-process run), the
 //! degradation ladder (full → serve-stale → reject as a session's
 //! wall-clock budget drains), admission control past the queue's
-//! high-water mark, and the graceful drain leaving a clean checkpoint
-//! directory.
+//! high-water mark, the graceful drain leaving a clean checkpoint
+//! directory, and the drain waking the acceptor blocked in `accept`
+//! without counting the wake-up as a request.
 //!
 //! Fault plans are process-global, so every test holds one serial lock
 //! and clears the plan on drop, exactly like the chaos suite.
 
-use st_server::{Client, ServerConfig, ServerHandle, Session, SessionSpec};
+use st_server::{Client, DrainReport, ServerConfig, ServerHandle, Session, SessionSpec};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
@@ -93,6 +94,17 @@ fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, 
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("no status line in {text:?}"));
     (status, text)
+}
+
+/// Joins the server on a helper thread, so a drain that fails to wake
+/// the acceptor fails the test instead of hanging it.
+fn wait_within(handle: ServerHandle, limit: Duration) -> DrainReport {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    rx.recv_timeout(limit)
+        .expect("wait() must return once the drain began")
 }
 
 fn no_orphan_temps(dir: &str) -> bool {
@@ -340,4 +352,70 @@ fn slow_client_trickle_is_served_within_deadline() {
 
     handle.shutdown();
     handle.wait();
+}
+
+/// The acceptor blocks in `accept`; every way of starting the drain must
+/// wake it so `wait()` returns: the in-process shutdown with no traffic
+/// at all, `POST /shutdown` over HTTP, and a server bound to the
+/// unspecified address (the wake-up self-connect goes to loopback).
+#[test]
+fn drain_wakes_the_blocked_acceptor() {
+    let _guard = FaultGuard::clean();
+    let limit = Duration::from_secs(10);
+
+    let (handle, _dir) = start("wake_idle", |_| {});
+    handle.shutdown();
+    wait_within(handle, limit);
+
+    let (handle, _dir) = start("wake_http", |_| {});
+    let (status, text) = raw_request(handle.addr(), "POST", "/shutdown", "");
+    assert_eq!(status, 202, "{text}");
+    wait_within(handle, limit);
+
+    let (handle, _dir) = start("wake_any", |cfg| cfg.addr = "0.0.0.0:0".to_string());
+    assert!(handle.addr().ip().is_unspecified());
+    let loopback = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+    let (status, text) = raw_request(loopback, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{text}");
+    handle.shutdown();
+    wait_within(handle, limit);
+}
+
+/// `requests` counts client connections only: after N client requests
+/// the `/stats` request itself is number N+1, even when it is answered
+/// after the drain's wake-up connection has been accepted and dropped.
+#[test]
+fn stats_never_count_the_drain_wake_up() {
+    let _guard = FaultGuard::clean();
+    let (handle, _dir) = start("wake_count", |cfg| cfg.workers = 2);
+    let addr = handle.addr();
+
+    // Connected first, so accepted (and counted) before the requests
+    // below, which the second worker serves; its request is sent only
+    // once the drain has begun.
+    let mut stats = TcpStream::connect(addr).expect("connect");
+    const N: u64 = 3;
+    for _ in 0..N {
+        let (status, text) = raw_request(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200, "{text}");
+    }
+
+    handle.shutdown();
+    // Give the acceptor time to take the wake-up connection, so a
+    // wake-up that got counted would show in the answer.
+    std::thread::sleep(Duration::from_millis(100));
+    stats
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    stats
+        .write_all(b"GET /stats HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n")
+        .expect("write");
+    let mut text = String::new();
+    stats.read_to_string(&mut text).expect("read stats");
+    assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+    assert!(
+        text.contains(&format!("\"requests\":{}}}", N + 1)),
+        "N client requests + this one, and no wake-up: {text}"
+    );
+    wait_within(handle, Duration::from_secs(10));
 }
