@@ -36,7 +36,12 @@ pub struct TunerConfig {
     pub max_iterations: usize,
     /// Master seed; all internal randomness derives from it.
     pub seed: u64,
-    /// Estimator worker threads (0 = all cores).
+    /// Estimator worker threads (0 = all cores): the calling thread plus
+    /// up to `threads − 1` helpers share one estimation's measurements —
+    /// single requests on the sequential plane, same-shape groups on the
+    /// batched plane ([`TunerConfig::batched_plane`]). Results are
+    /// bit-identical at every count. [`SliceTuner::new`] pins it to 1
+    /// under the `sharded` kernel, which owns the thread budget there.
     pub threads: usize,
     /// Optional shared memo table for curve estimations. Keys include the
     /// dataset's content fingerprint and the derived estimator seed, so a
@@ -1687,8 +1692,9 @@ mod tests {
     fn batched_plane_matches_sequential_bitwise() {
         // The batched plane is an execution strategy: lockstep-trained
         // groups and stacked evaluation must reproduce the sequential
-        // plane's measurements and fits bit for bit, in both schedules and
-        // regardless of the sequential plane's estimator thread count.
+        // plane's measurements, fits and training counts bit for bit, in
+        // both schedules and regardless of either plane's estimator thread
+        // count (0 = all cores).
         let fam = census();
         let run = |batched: bool, mode: EstimationMode, threads: usize| {
             let ds = SlicedDataset::generate(&fam, &[80, 40, 60, 20], 50, 18);
@@ -1702,20 +1708,22 @@ mod tests {
             (est, tuner.trainings())
         };
         for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
-            let (batched, tb) = run(true, mode, 1);
-            for threads in [1usize, 2] {
-                let (seq, ts) = run(false, mode, threads);
-                assert_eq!(tb, ts, "{mode:?} training counts");
-                assert_eq!(batched.len(), seq.len());
-                for (s, (b, q)) in batched.iter().zip(&seq).enumerate() {
-                    assert_eq!(b.points.len(), q.points.len(), "{mode:?} slice {s}");
+            let (seq, ts) = run(false, mode, 1);
+            let planes = [(false, 2usize), (true, 0), (true, 1), (true, 2), (true, 3)];
+            for (batched, threads) in planes {
+                let (other, to) = run(batched, mode, threads);
+                let tag = format!("{mode:?} batched {batched} threads {threads}");
+                assert_eq!(to, ts, "{tag}: training counts");
+                assert_eq!(other.len(), seq.len());
+                for (s, (b, q)) in other.iter().zip(&seq).enumerate() {
+                    assert_eq!(b.points.len(), q.points.len(), "{tag}: slice {s}");
                     for (bp, qp) in b.points.iter().zip(&q.points) {
-                        assert_eq!(bp.n.to_bits(), qp.n.to_bits(), "{mode:?} subset count");
-                        assert_eq!(bp.loss.to_bits(), qp.loss.to_bits(), "{mode:?} loss");
+                        assert_eq!(bp.n.to_bits(), qp.n.to_bits(), "{tag}: subset count");
+                        assert_eq!(bp.loss.to_bits(), qp.loss.to_bits(), "{tag}: loss");
                     }
                     let (bf, qf) = (b.fit.as_ref().unwrap(), q.fit.as_ref().unwrap());
-                    assert_eq!(bf.a.to_bits(), qf.a.to_bits(), "{mode:?} fit a");
-                    assert_eq!(bf.b.to_bits(), qf.b.to_bits(), "{mode:?} fit b");
+                    assert_eq!(bf.a.to_bits(), qf.a.to_bits(), "{tag}: fit a");
+                    assert_eq!(bf.b.to_bits(), qf.b.to_bits(), "{tag}: fit b");
                 }
             }
         }

@@ -10,7 +10,6 @@ use crate::fit::{fit_power_law, FitError, IncrementalFit};
 use crate::model::PowerLaw;
 use crate::points::CurvePoint;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One measured loss: after training on the requested subset, the model
 /// scored `loss` on slice `slice`'s validation set, and the subset contained
@@ -82,6 +81,18 @@ impl std::fmt::Display for EstimateError {
 }
 
 impl std::error::Error for EstimateError {}
+
+impl EstimateError {
+    fn new(req: &MeasureRequest, attempts: usize, cause: String) -> Self {
+        EstimateError {
+            target_slice: req.target_slice,
+            frac: req.frac,
+            rep: req.rep,
+            attempts,
+            cause,
+        }
+    }
+}
 
 /// The measurement callback: train on the requested subset, evaluate, and
 /// return one [`SliceLossMeasurement`] per slice of interest.
@@ -166,7 +177,10 @@ pub struct CurveEstimator {
     pub mode: EstimationMode,
     /// Base seed; every request derives a unique child seed.
     pub seed: u64,
-    /// Worker threads for parallel measurement (0 = all available cores).
+    /// Worker threads for parallel measurement (0 = all available cores):
+    /// the calling thread plus at most `threads − 1` helpers, sharing
+    /// requests on the sequential drivers and same-shape groups on the
+    /// batched ones.
     pub threads: usize,
     /// Retries per failed measurement before the request is given up and
     /// reported as an [`EstimateError`] (a retry is a bit-identical
@@ -309,8 +323,11 @@ impl CurveEstimator {
     /// request order before the (unchanged) point grouping and fitting, so
     /// a batched measurement function whose per-request results match the
     /// sequential [`TrainEvalFn`] bit-for-bit yields bit-identical
-    /// estimates. Groups run one after another: the batched kernels inside
-    /// the measurement function are the parallelism.
+    /// estimates. Groups are spread over [`threads`](Self::threads)
+    /// workers — the calling thread plus at most `threads − 1` scoped
+    /// helpers — and their results and errors are gathered in plan order,
+    /// so slots, errors and training counts do not depend on the thread
+    /// count.
     ///
     /// # Panics
     /// Panics if `fractions` is empty, `repeats == 0`, or `measure` returns
@@ -348,44 +365,31 @@ impl CurveEstimator {
 
         let requests = self.build_requests(num_slices);
         let plan = BatchedTrainPlan::build(&requests, key);
+        let outcomes = run_indexed(plan.groups().len(), self.effective_threads(), &|g| {
+            let batch: Vec<MeasureRequest> =
+                plan.groups()[g].iter().map(|&i| requests[i]).collect();
+            caught(|| measure(&batch), self.retries, self.guards).map_err(|(attempts, cause)| {
+                batch
+                    .iter()
+                    .map(|r| EstimateError::new(r, attempts, cause.clone()))
+                    .collect::<Vec<_>>()
+            })
+        });
         let mut slots: Vec<Option<Vec<SliceLossMeasurement>>> = vec![None; requests.len()];
         let mut errors: Vec<EstimateError> = Vec::new();
-        for group in plan.groups() {
-            let batch: Vec<MeasureRequest> = group.iter().map(|&i| requests[i]).collect();
-            let out = if self.guards {
-                let mut attempt = 0usize;
-                loop {
-                    let caught =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| measure(&batch)));
-                    match caught {
-                        Ok(out) => break Some(out),
-                        Err(p) => {
-                            if attempt >= self.retries {
-                                let cause = payload_str(p.as_ref());
-                                errors.extend(batch.iter().map(|r| EstimateError {
-                                    target_slice: r.target_slice,
-                                    frac: r.frac,
-                                    rep: r.rep,
-                                    attempts: attempt + 1,
-                                    cause: cause.clone(),
-                                }));
-                                break None;
-                            }
-                            attempt += 1;
-                        }
+        for (group, outcome) in plan.groups().iter().zip(outcomes) {
+            match outcome {
+                Ok(out) => {
+                    assert_eq!(
+                        out.len(),
+                        group.len(),
+                        "batched measure must return one result per request"
+                    );
+                    for (&i, r) in group.iter().zip(out) {
+                        slots[i] = Some(r);
                     }
                 }
-            } else {
-                Some(measure(&batch))
-            };
-            let Some(out) = out else { continue };
-            assert_eq!(
-                out.len(),
-                batch.len(),
-                "batched measure must return one result per request"
-            );
-            for (&i, r) in group.iter().zip(out) {
-                slots[i] = Some(r);
+                Err(group_errors) => errors.extend(group_errors),
             }
         }
         let points = self.group_points(num_slices, &requests, &slots);
@@ -628,41 +632,57 @@ fn payload_str(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One measurement with panic isolation and deterministic retry. The
-/// measurement is a pure function of its seed-pinned request, so every
+/// Runs one measurement with panic isolation and deterministic retry,
+/// returning the attempts made and the last panic message on failure. A
+/// measurement is a pure function of its seed-pinned request(s), so every
 /// retry re-executes the identical computation: a transient fault (an
 /// injected first-attempt panic) recovers bit-identically, a persistent one
-/// fails every attempt and becomes an [`EstimateError`].
-fn measure_caught(
-    req: &MeasureRequest,
-    measure: &TrainEvalFn<'_>,
-    retries: usize,
-    guards: bool,
-) -> Result<Vec<SliceLossMeasurement>, EstimateError> {
+/// fails every attempt. With `guards` off a panic propagates.
+fn caught<T>(f: impl Fn() -> T, retries: usize, guards: bool) -> Result<T, (usize, String)> {
     if !guards {
-        return Ok(measure(req));
+        return Ok(f());
     }
     let mut attempt = 0usize;
     loop {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| measure(req))) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(&f)) {
             Ok(out) => return Ok(out),
-            Err(p) => {
-                if attempt >= retries {
-                    return Err(EstimateError {
-                        target_slice: req.target_slice,
-                        frac: req.frac,
-                        rep: req.rep,
-                        attempts: attempt + 1,
-                        cause: payload_str(p.as_ref()),
-                    });
-                }
-                attempt += 1;
-            }
+            Err(p) if attempt >= retries => return Err((attempt + 1, payload_str(p.as_ref()))),
+            Err(_) => attempt += 1,
         }
     }
 }
 
-/// Runs every request through `measure` on a scoped thread pool, preserving
+/// Runs `task(i)` for every `i` in `0..n` on the calling thread plus at
+/// most `threads − 1` scoped helpers, each claiming the next index from a
+/// shared counter. Results come back in index order, independent of thread
+/// timing. A panicking task propagates its own payload.
+fn run_indexed<T: Send>(n: usize, threads: usize, task: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break done;
+            }
+            done.push((i, task(i)));
+        }
+    };
+    let helpers = threads.clamp(1, n.max(1)) - 1;
+    let mut done = crossbeam::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(|_| work())).collect();
+        let mut done = work();
+        for h in handles {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    })
+    .expect("measurement scope failed");
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
+/// Runs every request through `measure` (see [`run_indexed`]), preserving
 /// request order in the result vector. A request whose measurement exhausts
 /// its retries leaves a `None` slot and an [`EstimateError`]; errors are
 /// returned in request order, independent of thread timing.
@@ -673,37 +693,22 @@ fn run_requests(
     retries: usize,
     guards: bool,
 ) -> (Vec<Option<Vec<SliceLossMeasurement>>>, Vec<EstimateError>) {
-    let n = requests.len();
-    let results: Mutex<Vec<Option<Vec<SliceLossMeasurement>>>> = Mutex::new(vec![None; n]);
-    let errors: Mutex<Vec<Option<EstimateError>>> = Mutex::new(vec![None; n]);
-    let next = AtomicUsize::new(0);
-    let workers = threads.max(1).min(n.max(1));
-
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match measure_caught(&requests[i], measure, retries, guards) {
-                    Ok(out) => results.lock().expect("poisoned results lock")[i] = Some(out),
-                    Err(e) => errors.lock().expect("poisoned errors lock")[i] = Some(e),
-                }
-            });
+    let outcomes = run_indexed(requests.len(), threads, &|i| {
+        caught(|| measure(&requests[i]), retries, guards)
+            .map_err(|(attempts, cause)| EstimateError::new(&requests[i], attempts, cause))
+    });
+    let mut results = Vec::with_capacity(requests.len());
+    let mut errors = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Ok(out) => results.push(Some(out)),
+            Err(e) => {
+                results.push(None);
+                errors.push(e);
+            }
         }
-    })
-    .expect("measurement worker panicked");
-
-    (
-        results.into_inner().expect("poisoned results lock"),
-        errors
-            .into_inner()
-            .expect("poisoned errors lock")
-            .into_iter()
-            .flatten()
-            .collect(),
-    )
+    }
+    (results, errors)
 }
 
 #[cfg(test)]
@@ -926,13 +931,101 @@ mod tests {
                 let s = r.target_slice.map_or(u64::MAX, |s| s as u64);
                 s << 8 | (r.frac * 10.0).round() as u64
             };
-            let batched = est
-                .estimate_detailed_batched(2, &key, &|group| group.iter().map(&measure).collect());
-            for (s, (a, b)) in seq.iter().zip(&batched).enumerate() {
-                assert_eq!(a.points, b.points, "mode {mode:?} slice {s} points");
+            for threads in [0usize, 1, 2, 3] {
+                let mut est = est.clone();
+                est.threads = threads;
+                let batched = est.estimate_detailed_batched(2, &key, &|group| {
+                    group.iter().map(&measure).collect()
+                });
+                for (s, (a, b)) in seq.iter().zip(&batched).enumerate() {
+                    assert_eq!(a.points, b.points, "{mode:?} {threads} threads slice {s}");
+                    let (af, bf) = (a.fit.as_ref().unwrap(), b.fit.as_ref().unwrap());
+                    assert_eq!(af.b.to_bits(), bf.b.to_bits());
+                    assert_eq!(af.a.to_bits(), bf.a.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_group_errors_keep_plan_order_at_any_thread_count() {
+        let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(3.5, 0.31)];
+        let clean_measure = synthetic_measure(vec![200, 400], curves, 0.2);
+        let key = |r: &MeasureRequest| {
+            (r.target_slice.unwrap() as u64) << 8 | (r.frac * 10.0).round() as u64
+        };
+        let run = |threads: usize| {
+            let calls = AtomicUsize::new(0);
+            // Two groups fail every attempt; on several workers they can
+            // finish out of plan order.
+            let faulty = |group: &[MeasureRequest]| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                let r = group[0];
+                if (r.target_slice, r.frac) == (Some(1), 0.4)
+                    || (r.target_slice, r.frac) == (Some(0), 0.8)
+                {
+                    panic!("persistent group fault");
+                }
+                group.iter().map(&clean_measure).collect()
+            };
+            let mut est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
+            est.threads = threads;
+            let (detail, errors) = est.estimate_detailed_batched_checked(2, &key, &faulty);
+            (detail, errors, calls.into_inner())
+        };
+        let (one, one_errors, one_calls) = run(1);
+        let expected: Vec<(Option<usize>, f64, usize)> = vec![
+            (Some(1), 0.4, 0),
+            (Some(1), 0.4, 1),
+            (Some(0), 0.8, 0),
+            (Some(0), 0.8, 1),
+        ];
+        let got: Vec<_> = one_errors
+            .iter()
+            .map(|e| (e.target_slice, e.frac, e.rep))
+            .collect();
+        assert_eq!(got, expected, "one error per member, in plan order");
+        assert!(one_errors.iter().all(|e| e.attempts == 3));
+        // 10 groups, two of which spend both retries.
+        assert_eq!(one_calls, 10 + 2 * 2);
+        for threads in [2usize, 4] {
+            let (par, par_errors, par_calls) = run(threads);
+            assert_eq!(par_errors, one_errors, "{threads} threads: errors");
+            assert_eq!(par_calls, one_calls, "{threads} threads: attempts");
+            for (s, (a, b)) in one.iter().zip(&par).enumerate() {
+                assert_eq!(a.points, b.points, "{threads} threads: slice {s} points");
                 let (af, bf) = (a.fit.as_ref().unwrap(), b.fit.as_ref().unwrap());
                 assert_eq!(af.b.to_bits(), bf.b.to_bits());
                 assert_eq!(af.a.to_bits(), bf.a.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn groups_run_on_the_caller_plus_at_most_threads_minus_one_helpers() {
+        let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(3.5, 0.31)];
+        let measure = synthetic_measure(vec![200, 400], curves, 0.2);
+        let key = |r: &MeasureRequest| {
+            (r.target_slice.unwrap() as u64) << 8 | (r.frac * 10.0).round() as u64
+        };
+        let caller = std::thread::current().id();
+        for threads in [1usize, 2, 3] {
+            let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+            let recorded = |group: &[MeasureRequest]| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                group.iter().map(&measure).collect()
+            };
+            let mut est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
+            est.threads = threads;
+            let _ = est.estimate_detailed_batched(2, &key, &recorded);
+            let seen = seen.into_inner().unwrap();
+            assert!(
+                seen.len() <= threads,
+                "{threads} threads: {} workers",
+                seen.len()
+            );
+            if threads == 1 {
+                assert!(seen.contains(&caller), "one thread means the caller alone");
             }
         }
     }

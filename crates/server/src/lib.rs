@@ -223,6 +223,10 @@ impl Gate {
         Ok(())
     }
 
+    /// Blocks until a job is queued or drain has begun with the queue
+    /// empty. `draining` only ever flips under the queue lock (see
+    /// [`Gate::close`]), so a worker cannot check it and then miss the
+    /// wake-up: a plain `wait` never stalls a drain.
     fn pop(&self, draining: &AtomicBool) -> Option<Job> {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -232,12 +236,20 @@ impl Gate {
             if draining.load(Ordering::SeqCst) {
                 return None;
             }
-            q = self
-                .cv
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            q = self.cv.wait(q).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Begins the drain: under the queue lock, sets `draining` and returns
+    /// the jobs still queued (all of which will be served), then wakes
+    /// every worker parked in [`Gate::pop`].
+    fn close(&self, draining: &AtomicBool) -> usize {
+        let q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        draining.store(true, Ordering::SeqCst);
+        let queued = q.len();
+        drop(q);
+        self.cv.notify_all();
+        queued
     }
 
     fn len(&self) -> usize {
@@ -268,9 +280,8 @@ impl Shared {
         // Readiness flips before anything else (load balancers stop
         // routing), then the drain flag wakes every worker.
         self.ready.store(false, Ordering::SeqCst);
-        self.drained_jobs.store(self.gate.len(), Ordering::SeqCst);
-        self.draining.store(true, Ordering::SeqCst);
-        self.gate.cv.notify_all();
+        let queued = self.gate.close(&self.draining);
+        self.drained_jobs.store(queued, Ordering::SeqCst);
         // The acceptor is blocked in `accept`: one self-connect wakes it
         // to see the flag. The kernel completes the handshake from the
         // listen backlog, so this never waits on the acceptor.
@@ -683,12 +694,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gate_rejects_past_the_high_water_mark() {
-        let gate = Gate {
+    fn empty_gate() -> Gate {
+        Gate {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn drain_releases_every_worker_parked_in_pop() {
+        let gate = Arc::new(empty_gate());
+        let draining = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(std::sync::Barrier::new(5));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let (gate, draining, tx) = (Arc::clone(&gate), Arc::clone(&draining), tx.clone());
+                let started = Arc::clone(&started);
+                std::thread::spawn(move || {
+                    started.wait();
+                    let _ = tx.send(gate.pop(&draining).is_none());
+                })
+            })
+            .collect();
+        started.wait();
+        // Every interleaving of the drain with a worker's check-then-park
+        // must end in None; the pause only lets most workers park first.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(gate.close(&draining), 0, "nothing was queued");
+        for _ in 0..4 {
+            // A lost wake-up would park a worker forever.
+            let popped_none = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a worker stayed parked after the drain");
+            assert!(popped_none, "an empty draining gate yields None");
+        }
+        for w in workers {
+            w.join().expect("worker thread");
+        }
+    }
+
+    #[test]
+    fn gate_rejects_past_the_high_water_mark() {
+        let gate = empty_gate();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let mut streams = Vec::new();
