@@ -4,18 +4,21 @@
 //! `st-models`, the QR factorization behind the curve fitter, the trial
 //! executor's evaluation matmuls — bottoms out in the handful of primitives
 //! defined by [`GemmBackend`]. This module owns that trait, a transparent
-//! reference implementation ([`NaiveKernel`]), and a cache-blocked,
-//! register-tiled implementation ([`BlockedKernel`]) that is the default.
+//! reference implementation ([`NaiveKernel`]), the default
+//! [`BlockedKernel`] (an allocation-free register-tiled core for
+//! minibatch-sized products, a packed cache-blocked core above
+//! `SMALL_B_MAX`), and the explicit-SIMD, sharded and opt-in FMA
+//! backends built beside it.
 //!
 //! **Bit-identical accumulation.** Slice Tuner's determinism story (trial
 //! aggregates independent of `--jobs`, memoized curve estimations, pinned
 //! proptest seeds) requires that swapping kernels never changes a single
-//! output bit. Both kernels therefore accumulate every output element in
-//! strictly ascending `k` order — blocking only re-tiles the *interleaving*
-//! across output elements, never the per-element summation chain. The
-//! proptest suite in `crates/linalg/tests/proptests.rs` asserts exact
-//! (`to_bits`) equality across rectangular and degenerate shapes, and CI
-//! runs the whole workspace under both `ST_KERNEL` values.
+//! output bit. Every deterministic kernel therefore accumulates each output
+//! element in strictly ascending `k` order — blocking only re-tiles the
+//! *interleaving* across output elements, never the per-element summation
+//! chain. The proptest suite in `crates/linalg/tests/proptests.rs` asserts
+//! exact (`to_bits`) equality across rectangular and degenerate shapes, and
+//! CI runs the whole workspace under each `ST_KERNEL` value.
 //!
 //! **Selection.** The active kernel is process-global and fixed on first
 //! use: `ST_KERNEL=naive|blocked|simd|sharded|fast` in the environment, or
@@ -31,6 +34,7 @@
 //! back to pack-on-call, and all results stay bit-identical. Handles are
 //! snapshots: re-pack (buffer-reusing `*_into`) when the operand mutates.
 
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -51,6 +55,16 @@ const KC: usize = 64;
 const NC: usize = 512;
 /// Tile side of the blocked transpose swap.
 const TB: usize = 32;
+/// Largest `B` operand, in elements (reduction length × output columns),
+/// that [`BlockedKernel`] multiplies on its small-product core instead of
+/// packing panels. A constant, not a knob. At 16 KB, `B` plus a 4-row `A`
+/// tile and its output rows fit a 32 KB L1d, so every 4-row sweep over
+/// `B` hits L1 on any current x86 core, and `gemm_nt`'s stack tile stays
+/// small. Measured on a 2 MB-L2 Xeon (`docs/kernels.md`), the core beats
+/// pack + packed core and the prepacked core on every shape up to this
+/// size, by 1.8–6× at 32 rows; the crossover with the prepacked core lies
+/// far above it, between 128K and 256K elements, where `B` outgrows L2.
+const SMALL_B_MAX: usize = 2048;
 /// Panel width of the SIMD kernels: eight output columns per packed group
 /// (one 512-bit vector, or two 256-bit vectors).
 const SPW: usize = 8;
@@ -200,6 +214,77 @@ fn relu_rows(out: &mut [f64]) {
     }
 }
 
+/// Checks the arguments of a fused prepacked entry point
+/// (`gemm_prepacked_bias`, `gemm_prepacked_bias_relu`) and finishes the
+/// degenerate shapes itself; returns whether a product is left to run.
+///
+/// A `k == 0` product contributes nothing, but the separate passes would
+/// still broadcast the bias (and clamp), so that edge runs them here.
+///
+/// # Panics
+/// Panics when the handle's shape does not match `(k, n)` or
+/// `bias.len() != n`.
+#[allow(clippy::too_many_arguments)]
+fn affine_prologue(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    pb: &PackedB,
+    bias: &[f64],
+    relu: bool,
+    out: &mut [f64],
+) -> bool {
+    assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
+    assert_eq!(bias.len(), n, "bias length mismatch");
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || n == 0 {
+        return false;
+    }
+    if k == 0 {
+        bias_rows(n, bias, out);
+        if relu {
+            relu_rows(out);
+        }
+        return false;
+    }
+    true
+}
+
+/// Stores `B` (`k×n` row-major) verbatim in `dst`: the `Raw` layout of the
+/// pack-on-call fallback, and of [`BlockedKernel`]'s small-core handles.
+fn raw_pack_b_into(k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
+    debug_assert_eq!(b.len(), k * n);
+    dst.layout = PackLayout::Raw;
+    dst.k = k;
+    dst.n = n;
+    dst.data.clear();
+    dst.data.extend_from_slice(b);
+}
+
+/// [`raw_pack_b_into`] for a `gemm_nt` operand given as `bt` (`n×k`):
+/// `B` is materialized once by `kernel`'s transpose — an exact copy, so
+/// `gemm` on it accumulates the same ascending-`k` chains `gemm_nt` runs
+/// on `bt`.
+fn raw_pack_b_t_into<K: GemmBackend + ?Sized>(
+    kernel: &K,
+    k: usize,
+    n: usize,
+    bt: &[f64],
+    dst: &mut PackedB,
+) {
+    debug_assert_eq!(bt.len(), n * k);
+    dst.layout = PackLayout::Raw;
+    dst.k = k;
+    dst.n = n;
+    dst.data.clear();
+    dst.data.resize(k * n, 0.0);
+    if k > 0 && n > 0 {
+        kernel.transpose(n, k, bt, &mut dst.data);
+    }
+}
+
 /// Pointer to `bias[j0]` for the vector micro-kernels, or null when no
 /// bias epilogue is requested (the micro-kernels branch on null once per
 /// tile, not per element).
@@ -285,12 +370,7 @@ pub trait GemmBackend: Send + Sync {
     /// Packs the `B` operand of [`gemm`](Self::gemm) (`b: k×n` row-major)
     /// into `dst`, reusing `dst`'s allocation.
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(b.len(), k * n);
-        dst.layout = PackLayout::Raw;
-        dst.k = k;
-        dst.n = n;
-        dst.data.clear();
-        dst.data.extend_from_slice(b);
+        raw_pack_b_into(k, n, b, dst);
     }
 
     /// Packs the `B` operand of [`gemm_nt`](Self::gemm_nt) given its
@@ -300,17 +380,7 @@ pub trait GemmBackend: Send + Sync {
     /// [`gemm_nt_prepacked`](Self::gemm_nt_prepacked) with no per-call
     /// transpose work.
     fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(bt.len(), n * k);
-        dst.layout = PackLayout::Raw;
-        dst.k = k;
-        dst.n = n;
-        dst.data.clear();
-        dst.data.resize(k * n, 0.0);
-        if k > 0 && n > 0 {
-            // An exact copy: `gemm` on the materialized `B` accumulates
-            // the same ascending-`k` chains `gemm_nt` runs on `bt`.
-            self.transpose(n, k, bt, &mut dst.data);
-        }
+        raw_pack_b_t_into(self, k, n, bt, dst);
     }
 
     /// Packs the `A` operand of [`gemm_tn`](Self::gemm_tn) (`a: m×k`
@@ -425,17 +495,7 @@ pub trait GemmBackend: Send + Sync {
         bias: &[f64],
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            // Zero-length reduction: the product contributes nothing, but
-            // the separate pass would still broadcast the bias.
-            bias_rows(n, bias, out);
+        if !affine_prologue(m, k, n, a, pb, bias, false, out) {
             return;
         }
         match pb.layout {
@@ -476,16 +536,7 @@ pub trait GemmBackend: Send + Sync {
         bias: &[f64],
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            bias_rows(n, bias, out);
-            relu_rows(out);
+        if !affine_prologue(m, k, n, a, pb, bias, true, out) {
             return;
         }
         match pb.layout {
@@ -781,15 +832,59 @@ impl GemmBackend for NaiveKernel {
     }
 }
 
+/// Instantiation of [`BlockedKernel`]'s small-product core; one Rust body
+/// compiled three ways, chosen at run time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SmallIsa {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Portable,
+}
+
+impl SmallIsa {
+    /// The widest instantiation this CPU runs.
+    fn detect() -> SmallIsa {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return SmallIsa::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return SmallIsa::Avx2;
+            }
+        }
+        SmallIsa::Portable
+    }
+}
+
 /// The cache-blocked, register-tiled backend (the default).
 ///
-/// `gemm` tiles the output columns ([`NC`]) and the reduction dimension
-/// ([`KC`]) so a `KC × NC` panel of `B` stays cache-resident, processes
-/// [`MR`] rows of `A` per panel pass, and micro-tiles the reduction four
-/// `k` steps at a time — each output element is loaded into a register
-/// once per 4 products instead of once per product. The adds inside a
-/// micro-tile are issued in ascending `k` order, so results are
-/// bit-identical to [`NaiveKernel`] (asserted by proptests).
+/// Two cores, chosen per product by the size of the streamed `B` operand
+/// (`k·n` for `gemm`, `gemm_nt` and the prepacked forms, `m·n` for
+/// `gemm_tn`):
+///
+/// * **Small products** (`B` of at most `SMALL_B_MAX` = 2048 elements — every
+///   minibatch product the tuner trains) run on an allocation-free
+///   register-tiled core: 4-row × {8, 4, 2, 1}-column tiles over a
+///   row-major `B`, with `A` read through a (row, column) stride pair so
+///   `gemm_tn` needs no transpose. `gemm_nt` transposes its `Bᵀ` into a
+///   stack tile; `pack_b_into` / `pack_b_t_into` keep such a `B` row-major
+///   in the `Raw` layout, so re-packing is a copy, and the fused bias and
+///   bias+ReLU entry points run the core with the epilogue fused.
+/// * **Larger products** pack `B` into 4-wide interleaved panels and
+///   run the 2-row × 2-panel packed core over L2-sized panel blocks
+///   (`gemm_tn` transposes and packs in sample blocks; fewer than
+///   `PACK_MIN_ROWS` rows take the axpy path instead).
+///
+/// Both cores are one Rust body compiled per instruction set and picked at
+/// run time (AVX-512/AVX2/portable for the small core, AVX/portable for
+/// the packed one). Each output element is accumulated in one register
+/// chain in ascending `k` order, finished with the bias and the `< 0`
+/// clamp, and stored once, so results are bit-identical to
+/// [`NaiveKernel`] (asserted by unit tests per instantiation and by
+/// proptests on both sides of the cutoff).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BlockedKernel;
 
@@ -845,6 +940,267 @@ impl BlockedKernel {
                 for (step, &x) in src.iter().enumerate() {
                     dst[step * PW + lane] = x;
                 }
+            }
+        }
+    }
+
+    /// Whether a product whose `B` operand is `rows × cols` runs on the
+    /// small-product core (see [`SMALL_B_MAX`]).
+    fn is_small(rows: usize, cols: usize) -> bool {
+        rows * cols <= SMALL_B_MAX
+    }
+
+    /// The small-product core: `out += A·B`, then `+ bias[j]`, then the
+    /// [`relu_rows`] clamp when requested, for `A: m×k` read at
+    /// `a[i·rs + p·cs]` and `B: k×n` row-major. Nothing is packed and
+    /// nothing is allocated: `gemm` reads `A` with strides `(k, 1)` and
+    /// `gemm_tn` reads its `Aᵀ` in place with strides `(1, k)`.
+    ///
+    /// Each 4-row × {8, 4, 2, 1}-column tile keeps one accumulator per
+    /// output element, seeded from `out`, adds the products in ascending
+    /// `p`, appends the bias and the clamp, and stores the element once —
+    /// the per-element contract of the packed cores, so the bits equal
+    /// [`NaiveKernel`] followed by separate bias and ReLU passes.
+    ///
+    /// # Panics
+    /// Panics when an operand is shorter than its shape needs.
+    #[allow(clippy::too_many_arguments)]
+    fn small_gemm(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        (rs, cs): (usize, usize),
+        b: &[f64],
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: &mut [f64],
+    ) {
+        Self::small_gemm_on(SmallIsa::detect(), m, k, n, a, (rs, cs), b, bias, relu, out);
+    }
+
+    /// [`Self::small_gemm`] on a chosen instantiation.
+    ///
+    /// # Panics
+    /// Panics when an operand is shorter than its shape needs, or when the
+    /// CPU lacks `isa`.
+    #[allow(clippy::too_many_arguments)]
+    fn small_gemm_on(
+        isa: SmallIsa,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        (rs, cs): (usize, usize),
+        b: &[f64],
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: &mut [f64],
+    ) {
+        if m == 0 || n == 0 {
+            return;
+        }
+        assert!(
+            k == 0 || (m - 1) * rs + (k - 1) * cs < a.len(),
+            "A too short"
+        );
+        assert!(b.len() >= k * n && out.len() >= m * n, "B or out too short");
+        assert!(bias.is_none_or(|b| b.len() >= n), "bias too short");
+        let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        // SAFETY: the asserts above bound every index the body forms
+        // (`A(i, p)` for `i < m`, `p < k`; `B` and `out` row-major), and
+        // each vector instantiation runs only after its feature check.
+        unsafe {
+            match isa {
+                #[cfg(target_arch = "x86_64")]
+                SmallIsa::Avx512 => {
+                    assert!(std::arch::is_x86_feature_detected!("avx512f"));
+                    Self::small_gemm_avx512(m, k, n, a, rs, cs, b, bias, relu, out)
+                }
+                #[cfg(target_arch = "x86_64")]
+                SmallIsa::Avx2 => {
+                    assert!(std::arch::is_x86_feature_detected!("avx2"));
+                    Self::small_gemm_avx2(m, k, n, a, rs, cs, b, bias, relu, out)
+                }
+                SmallIsa::Portable => Self::small_gemm_body(m, k, n, a, rs, cs, b, bias, relu, out),
+            }
+        }
+    }
+
+    /// AVX-512 instantiation of [`Self::small_gemm_body`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, plus the body's bounds contract.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn small_gemm_avx512(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: *const f64,
+        rs: usize,
+        cs: usize,
+        b: *const f64,
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: *mut f64,
+    ) {
+        Self::small_gemm_body(m, k, n, a, rs, cs, b, bias, relu, out);
+    }
+
+    /// AVX2 instantiation of [`Self::small_gemm_body`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, plus the body's bounds contract.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn small_gemm_avx2(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: *const f64,
+        rs: usize,
+        cs: usize,
+        b: *const f64,
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: *mut f64,
+    ) {
+        Self::small_gemm_body(m, k, n, a, rs, cs, b, bias, relu, out);
+    }
+
+    /// The one body every small-core instantiation compiles: full 4-row
+    /// tiles, then a 3-, 2- or 1-row remainder.
+    ///
+    /// It walks raw pointers because the bounds-checked slice version of
+    /// the same body measured 1.2–1.7× slower at the trainer's shapes
+    /// (32 rows; `B` of 12×2 to 32×32), mostly from the per-element checks
+    /// on the strided `A` reads; [`Self::small_gemm_on`] checks the bounds
+    /// once instead.
+    ///
+    /// # Safety
+    /// `A(i, p) = *a.add(i·rs + p·cs)` must be readable for `i < m`,
+    /// `p < k`; `b` must hold `k·n` and `out` `m·n` elements; `bias`, when
+    /// set, at least `n`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn small_gemm_body(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: *const f64,
+        rs: usize,
+        cs: usize,
+        b: *const f64,
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: *mut f64,
+    ) {
+        let mut i = 0;
+        while i + 4 <= m {
+            Self::small_rows::<4>(k, n, a.add(i * rs), rs, cs, b, bias, relu, out.add(i * n));
+            i += 4;
+        }
+        let (a, out) = (a.add(i * rs), out.add(i * n));
+        match m - i {
+            3 => Self::small_rows::<3>(k, n, a, rs, cs, b, bias, relu, out),
+            2 => Self::small_rows::<2>(k, n, a, rs, cs, b, bias, relu, out),
+            1 => Self::small_rows::<1>(k, n, a, rs, cs, b, bias, relu, out),
+            _ => {}
+        }
+    }
+
+    /// `R` output rows of the small core: 8-column tiles, then one 4-, 2-
+    /// and 1-column tile for the remainder.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn small_rows<const R: usize>(
+        k: usize,
+        n: usize,
+        a: *const f64,
+        rs: usize,
+        cs: usize,
+        b: *const f64,
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: *mut f64,
+    ) {
+        let mut j = 0;
+        while j + 8 <= n {
+            Self::small_tile::<R, 8>(k, n, a, rs, cs, b, j, bias, relu, out);
+            j += 8;
+        }
+        if j + 4 <= n {
+            Self::small_tile::<R, 4>(k, n, a, rs, cs, b, j, bias, relu, out);
+            j += 4;
+        }
+        if j + 2 <= n {
+            Self::small_tile::<R, 2>(k, n, a, rs, cs, b, j, bias, relu, out);
+            j += 2;
+        }
+        if j < n {
+            Self::small_tile::<R, 1>(k, n, a, rs, cs, b, j, bias, relu, out);
+        }
+    }
+
+    /// One `R × W` register tile at column `j0`: `R·W` accumulator chains,
+    /// each seeded from `out`, reduced in ascending `p`, finished with the
+    /// bias and the `< 0` clamp, and stored once.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn small_tile<const R: usize, const W: usize>(
+        k: usize,
+        n: usize,
+        a: *const f64,
+        rs: usize,
+        cs: usize,
+        b: *const f64,
+        j0: usize,
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: *mut f64,
+    ) {
+        let mut acc = [[0.0; W]; R];
+        for r in 0..R {
+            for c in 0..W {
+                acc[r][c] = *out.add(r * n + j0 + c);
+            }
+        }
+        for p in 0..k {
+            let bp = b.add(p * n + j0);
+            let mut bv = [0.0; W];
+            for c in 0..W {
+                bv[c] = *bp.add(c);
+            }
+            let ap = a.add(p * cs);
+            for r in 0..R {
+                let x = *ap.add(r * rs);
+                for c in 0..W {
+                    acc[r][c] += x * bv[c];
+                }
+            }
+        }
+        if let Some(bias) = bias {
+            for r in 0..R {
+                for c in 0..W {
+                    acc[r][c] += *bias.get_unchecked(j0 + c);
+                }
+            }
+        }
+        if relu {
+            for r in 0..R {
+                for c in 0..W {
+                    if acc[r][c] < 0.0 {
+                        acc[r][c] = 0.0;
+                    }
+                }
+            }
+        }
+        for r in 0..R {
+            for c in 0..W {
+                *out.add(r * n + j0 + c) = acc[r][c];
             }
         }
     }
@@ -1187,6 +1543,32 @@ impl BlockedKernel {
         }
     }
 
+    /// Blocked's fused prepacked entry points. `Raw` handles — blocked
+    /// packs them only below [`SMALL_B_MAX`], though the core is exact at
+    /// any size — run the small core with the bias and clamp fused into
+    /// its single store; panel handles run their packed core.
+    #[allow(clippy::too_many_arguments)]
+    fn prepacked_affine(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        relu: bool,
+        out: &mut [f64],
+    ) {
+        if !affine_prologue(m, k, n, a, pb, bias, relu, out) {
+            return;
+        }
+        let (packed, bias) = (&pb.data, Some(bias));
+        match pb.layout {
+            PackLayout::Raw => Self::small_gemm(m, k, n, a, (k, 1), packed, bias, relu, out),
+            PackLayout::Panels4 => Self::packed_gemm_opt(m, k, n, a, packed, bias, relu, out),
+            PackLayout::Panels8 => SimdKernel::packed_gemm_opt(m, k, n, a, packed, bias, relu, out),
+        }
+    }
+
     /// Register-tiled axpy fallback for row counts too small to amortize
     /// packing: tiles `k` ([`KC`]) and the output columns ([`NC`]), and
     /// micro-tiles the reduction four steps at a time so each output
@@ -1243,6 +1625,10 @@ impl GemmBackend for BlockedKernel {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
+        if Self::is_small(k, n) {
+            Self::small_gemm(m, k, n, a, (k, 1), b, None, false, out);
+            return;
+        }
         if m < PACK_MIN_ROWS {
             Self::axpy_gemm(m, k, n, a, b, out);
             return;
@@ -1258,6 +1644,22 @@ impl GemmBackend for BlockedKernel {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
+        if Self::is_small(k, n) {
+            // A small `Bᵀ` is transposed into a stack tile: `B` row-major,
+            // as the core reads it, without touching the heap.
+            let mut tile = [MaybeUninit::<f64>::uninit(); SMALL_B_MAX];
+            for (j, col) in bt[..n * k].chunks_exact(k).enumerate() {
+                for (p, &x) in col.iter().enumerate() {
+                    tile[p * n + j].write(x);
+                }
+            }
+            // SAFETY: the loops above wrote all `k·n` leading slots: the
+            // slice of `bt` (which panics if it is short) holds exactly `n`
+            // columns of `k`.
+            let b = unsafe { std::slice::from_raw_parts(tile.as_ptr().cast::<f64>(), k * n) };
+            Self::small_gemm(m, k, n, a, (k, 1), b, None, false, out);
+            return;
+        }
         // Rows of `bt` are already the columns of the logical B, so the
         // panel packer reads them contiguously — no transpose pass needed.
         let packed = Self::pack_panels_t(k, n, bt);
@@ -1269,6 +1671,11 @@ impl GemmBackend for BlockedKernel {
         debug_assert_eq!(b.len(), m * n);
         debug_assert_eq!(out.len(), k * n);
         if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        if Self::is_small(m, n) {
+            // `Aᵀ(p, i) = a[i·k + p]`: the core reads it in place.
+            Self::small_gemm(k, m, n, a, (1, k), b, None, false, out);
             return;
         }
         // Process the samples in row blocks: transpose each block of `a`
@@ -1343,6 +1750,11 @@ impl GemmBackend for BlockedKernel {
 
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
         debug_assert_eq!(b.len(), k * n);
+        if Self::is_small(k, n) {
+            // The small core reads `B` row-major: the pack is a copy.
+            raw_pack_b_into(k, n, b, dst);
+            return;
+        }
         dst.layout = PackLayout::Panels4;
         dst.k = k;
         dst.n = n;
@@ -1351,10 +1763,40 @@ impl GemmBackend for BlockedKernel {
 
     fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
         debug_assert_eq!(bt.len(), n * k);
+        if Self::is_small(k, n) {
+            raw_pack_b_t_into(self, k, n, bt, dst);
+            return;
+        }
         dst.layout = PackLayout::Panels4;
         dst.k = k;
         dst.n = n;
         Self::pack_panels_t_into(k, n, bt, &mut dst.data);
+    }
+
+    fn gemm_prepacked_bias(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        out: &mut [f64],
+    ) {
+        Self::prepacked_affine(m, k, n, a, pb, bias, false, out);
+    }
+
+    fn gemm_prepacked_bias_relu(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        out: &mut [f64],
+    ) {
+        Self::prepacked_affine(m, k, n, a, pb, bias, true, out);
     }
 
     fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
@@ -3227,6 +3669,10 @@ mod tests {
         (0..len).map(|_| rng.next_f64() * 4.0 - 2.0).collect()
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn assert_bits_eq(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -3991,6 +4437,143 @@ mod tests {
         let pb = BlockedKernel.pack_b(4, 4, &fill(16, 1));
         let mut out = vec![0.0; 3 * 5];
         BlockedKernel.gemm_prepacked(3, 4, 5, &fill(12, 2), &pb, &mut out);
+    }
+
+    /// Every small-core instantiation this CPU can run.
+    fn small_isas() -> Vec<SmallIsa> {
+        let mut isas = vec![SmallIsa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                isas.push(SmallIsa::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                isas.push(SmallIsa::Avx512);
+            }
+        }
+        isas
+    }
+
+    #[test]
+    fn small_core_instantiations_match_naive_bitwise() {
+        // Each instantiation, called directly, against the reference: every
+        // column tail of the 8/4/2/1 tiling, every row remainder of the
+        // 4-row tiling, both `A` strides, accumulation into a non-zero
+        // `out`, and the bias and ReLU epilogues.
+        for isa in small_isas() {
+            for m in (1..=5).chain(31..=33) {
+                for n in [1, 2, 3, 5, 7, 9, 10] {
+                    for k in [1, 4, 13] {
+                        let seed = (m * 1000 + n * 10 + k) as u64;
+                        let a = fill(m * k, seed);
+                        let b = fill(k * n, seed + 1);
+                        let bias = fill(n, seed + 2);
+                        let init = fill(m * n, seed + 3);
+                        let tag = format!("{isa:?} m={m} k={k} n={n}");
+
+                        let mut want = init.clone();
+                        NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                        let mut got = init.clone();
+                        BlockedKernel::small_gemm_on(
+                            isa,
+                            m,
+                            k,
+                            n,
+                            &a,
+                            (k, 1),
+                            &b,
+                            None,
+                            false,
+                            &mut got,
+                        );
+                        assert_eq!(bits(&want), bits(&got), "gemm {tag}");
+
+                        // `a` read as the transpose of a k×m matrix.
+                        let mut want_tn = init.clone();
+                        NaiveKernel.gemm_tn(k, m, n, &a, &b, &mut want_tn);
+                        let mut got_tn = init.clone();
+                        BlockedKernel::small_gemm_on(
+                            isa,
+                            m,
+                            k,
+                            n,
+                            &a,
+                            (1, m),
+                            &b,
+                            None,
+                            false,
+                            &mut got_tn,
+                        );
+                        assert_eq!(bits(&want_tn), bits(&got_tn), "tn {tag}");
+
+                        bias_rows(n, &bias, &mut want);
+                        let mut got = init.clone();
+                        BlockedKernel::small_gemm_on(
+                            isa,
+                            m,
+                            k,
+                            n,
+                            &a,
+                            (k, 1),
+                            &b,
+                            Some(&bias),
+                            false,
+                            &mut got,
+                        );
+                        assert_eq!(bits(&want), bits(&got), "bias {tag}");
+
+                        relu_rows(&mut want);
+                        let mut got = init;
+                        BlockedKernel::small_gemm_on(
+                            isa,
+                            m,
+                            k,
+                            n,
+                            &a,
+                            (k, 1),
+                            &b,
+                            Some(&bias),
+                            true,
+                            &mut got,
+                        );
+                        assert_eq!(bits(&want), bits(&got), "bias+relu {tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_core_relu_keeps_negative_zero_and_nan() {
+        // k = 1 over a `-0.0` seed: signed zeros, NaN, negatives and
+        // positives reach the clamp on every row and column tail. The
+        // clamp is `< 0.0`, so -0.0 and NaN pass through untouched.
+        let (m, n) = (5, 10);
+        let a = [-0.0, f64::NAN, 1.0, -1.0, 0.0];
+        let b = [-0.0, 0.0, 1.0, -1.0, -2.0, 3.0, -0.0, 0.5, -0.5, 0.0];
+        let bias = [-0.0, -0.0, 0.0, -0.0, 0.5, -0.0, -0.0, 0.0, -0.0, -4.0];
+        let mut want = vec![-0.0; m * n];
+        NaiveKernel.gemm(m, 1, n, &a, &b, &mut want);
+        bias_rows(n, &bias, &mut want);
+        relu_rows(&mut want);
+        assert!(want.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert!(want.iter().any(|v| v.is_nan()));
+        for isa in small_isas() {
+            let mut got = vec![-0.0; m * n];
+            BlockedKernel::small_gemm_on(isa, m, 1, n, &a, (1, 1), &b, Some(&bias), true, &mut got);
+            assert_eq!(bits(&want), bits(&got), "{isa:?}");
+        }
+    }
+
+    #[test]
+    fn small_cutoff_sits_between_the_proptest_boundary_shapes() {
+        // `tests/proptests.rs` pins shapes with a `B` of exactly 2048 and
+        // 2049 elements as the two sides of `SMALL_B_MAX`.
+        assert_eq!(SMALL_B_MAX, 2048);
+        let raw = BlockedKernel.pack_b(32, 64, &fill(32 * 64, 1));
+        assert_eq!(raw.layout, PackLayout::Raw);
+        let panels = BlockedKernel.pack_b_t(3, 683, &fill(3 * 683, 2));
+        assert_eq!(panels.layout, PackLayout::Panels4);
     }
 
     #[test]

@@ -131,6 +131,53 @@ proptest! {
     }
 }
 
+/// Shapes on both sides of `blocked`'s small-core cutoff (`SMALL_B_MAX`
+/// = 2048 elements of the streamed `B` operand: `k·n` for the plain, nt,
+/// prepacked, fused and batched forms, `m·n` for tn). Each side is hit
+/// with exactly 2048 elements (the last small-core shape) and 2049 (the
+/// first packed one) for both operand forms; the last shape is 2049 for
+/// both at once.
+#[test]
+fn kernels_bit_identical_at_the_small_core_cutoff() {
+    for &(m, k, n) in &[
+        (9, 32, 64),
+        (9, 683, 3),
+        (32, 9, 64),
+        (683, 9, 3),
+        (3, 3, 683),
+    ] {
+        let seed = 23 + (m * 131 + k * 17 + n) as u64;
+        check_kernel_equivalence(m, k, n, seed);
+        check_prepacked_equivalence(m, k, n, seed);
+        check_fused_bias_equivalence(m, k, n, seed);
+        check_fused_relu_equivalence(m, k, n, seed);
+        check_batched_equivalence(m, k, n, 2, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Every entry point on random shapes whose streamed operand falls on
+    /// either side of `blocked`'s small-core cutoff: dimensions in 32..64
+    /// put `k·n` (and `m·n`) anywhere in 1024..3969, about 40% of them at
+    /// or below 2048, so both `blocked` cores meet the reference on random
+    /// shapes.
+    #[test]
+    fn kernels_bit_identical_around_the_small_core_cutoff(
+        m in 32usize..64,
+        k in 32usize..64,
+        n in 32usize..64,
+        seed in 0u64..100_000,
+    ) {
+        check_kernel_equivalence(m, k, n, seed);
+        check_prepacked_equivalence(m, k, n, seed);
+        check_fused_bias_equivalence(m, k, n, seed);
+        check_fused_relu_equivalence(m, k, n, seed);
+        check_batched_equivalence(m, k, n, 2, seed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -619,39 +619,4 @@ mod tests {
             assert_eq!(remaining.to_bits(), want_remaining.to_bits(), "{tag}");
         }
     }
-
-    #[test]
-    fn injected_session_panic_degrades_then_resumes_bit_identically() {
-        use std::sync::{Mutex, MutexGuard};
-        fn serial() -> MutexGuard<'static, ()> {
-            static LOCK: Mutex<()> = Mutex::new(());
-            LOCK.lock().unwrap_or_else(|e| e.into_inner())
-        }
-        let _g = serial();
-
-        // Reference: uninterrupted advances to round 2.
-        let dir = tmpdir("panic_ref");
-        let mut reference = Session::new(3, census_spec(), &dir).expect("session");
-        reference.advance(1, 1, 1).expect("round 1");
-        reference.advance(2, 1, 1).expect("round 2");
-        let want = std::fs::read_to_string(&reference.checkpoint_path).expect("ref checkpoint");
-
-        // Faulted: the same session id/round is shot on its first attempt.
-        fault::install(Some(
-            fault::parse_plan("session_panic@3:round2").expect("plan"),
-        ));
-        let dir = tmpdir("panic_hit");
-        let mut s = Session::new(3, census_spec(), &dir).expect("session");
-        s.advance(1, 1, 1).expect("round 1 unaffected");
-        let err = s.advance(2, 1, 1).expect_err("attempt 0 must panic");
-        assert!(matches!(err, AdvanceError::Panicked(_)), "{err:?}");
-        assert!(s.degraded, "panic marks the session degraded");
-        assert_eq!(s.rounds, 1, "checkpoint untouched by the panic");
-        // The retry resumes from the checkpoint and lands bit-identically.
-        s.advance(2, 1, 1).expect("attempt 1 resumes");
-        fault::install(None);
-        assert_eq!(s.rounds, 2);
-        let got = std::fs::read_to_string(&s.checkpoint_path).expect("checkpoint");
-        assert_eq!(got, want, "resumed state must be bit-identical");
-    }
 }
