@@ -12,7 +12,7 @@ use st_data::{families, SliceId};
 use st_models::{ModelSpec, TrainConfig};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
+    // Bench-wide kernel default: `sharded` on multi-core hosts, `blocked`
     // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
     st_bench::init_bench_kernel();
     let family = families::faces();

@@ -1,8 +1,7 @@
 //! Microbenchmark of the pluggable compute-kernel layer: every backend on
 //! the dense shapes the trainers actually hit, with a bit-identity
-//! cross-check (or, for the reassociating `fast` backend, a relative-error
-//! check) on every timed shape, plus a batched small-shape group timing
-//! one `gemm_batched` call against its sequential per-product loop.
+//! cross-check on every timed shape, plus a batched small-shape group
+//! timing one `gemm_batched` call against its sequential per-product loop.
 //!
 //! ```text
 //! cargo run --release -p st_bench --bin kernels
@@ -10,31 +9,14 @@
 //!
 //! Gates enforced at the end (ST_QUICK=1 for a faster sweep, same checks):
 //!
-//! * `blocked` ≥ 2× `naive` on 256×256 matmul (PR 2's bar);
-//! * `simd` ≥ 1.5× `blocked` on 256×256 matmul on hosts whose AVX-512
-//!   path is live, measured as the best of several interleaved rounds;
-//!   on AVX2-only hosts the bar is parity, because `blocked`'s
-//!   auto-vectorized core already saturates the 256-bit mul/add ports
-//!   (see docs/kernels.md), and the AVX2 `simd` path is gated on ≥ 1×;
+//! * `blocked` ≥ 2× `naive` on 256×256 matmul, measured as the best of
+//!   several interleaved rounds;
 //! * `sharded` bit-identical to `naive` at 1, 2, and 4 worker threads on
-//!   every gated shape, and faster than `simd` on multi-core hosts (the
+//!   every gated shape, and faster than `blocked` on multi-core hosts (the
 //!   speed half is skipped, with a note, on single-core containers).
 
 use st_bench::{assert_bits_identical, bench_fill as fill, best_secs, rule};
-use st_linalg::{
-    kernel_threads, BlockedKernel, FastKernel, GemmBackend, NaiveKernel, ShardedKernel, SimdKernel,
-};
-
-/// `fast` waives bit-identity; it still has to be *numerically* right.
-fn assert_close(op: &str, a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len(), "{op}: length mismatch");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert!(
-            (x - y).abs() <= 1e-9 * (1.0 + x.abs()),
-            "{op}: outputs diverge at {i}: {x} vs {y}"
-        );
-    }
-}
+use st_linalg::{kernel_threads, BlockedKernel, GemmBackend, NaiveKernel, ShardedKernel};
 
 /// One timed operation on one shape across all backends.
 enum Op {
@@ -152,13 +134,7 @@ fn main() {
         .unwrap_or(1);
 
     let sharded = ShardedKernel::new();
-    let backends: [&dyn GemmBackend; 5] = [
-        &NaiveKernel,
-        &BlockedKernel,
-        &SimdKernel,
-        &sharded,
-        &FastKernel,
-    ];
+    let backends: [&dyn GemmBackend; 3] = [&NaiveKernel, &BlockedKernel, &sharded];
 
     println!("Compute-kernel microbench — all backends (best of {reps})");
     println!(
@@ -169,10 +145,9 @@ fn main() {
     );
     #[cfg(target_arch = "x86_64")]
     println!(
-        "vector units: avx2={} avx512f={} fma={}\n",
+        "vector units: avx2={} avx512f={}\n",
         std::arch::is_x86_feature_detected!("avx2"),
-        std::arch::is_x86_feature_detected!("avx512f"),
-        std::arch::is_x86_feature_detected!("fma")
+        std::arch::is_x86_feature_detected!("avx512f")
     );
 
     // The shape tour: square matmuls, the three trainer GEMM shapes, and
@@ -188,25 +163,20 @@ fn main() {
     ];
 
     println!(
-        "{:<20} {:>10} {:>10} {:>10} {:>10} {:>10}   (ms, GF/s below)",
-        "op", "naive", "blocked", "simd", "sharded", "fast"
+        "{:<20} {:>10} {:>10} {:>10}   (ms, GF/s below)",
+        "op", "naive", "blocked", "sharded"
     );
-    rule(88);
+    rule(66);
     for (si, op) in shapes.iter().enumerate() {
         let seed = 0xC0FFEE + si as u64;
-        // Correctness first: every deterministic backend must be
-        // bit-identical to naive; `fast` must be numerically close.
+        // Correctness first: every backend must be bit-identical to naive.
         let mut reference = Vec::new();
         op.run(&NaiveKernel, seed, &mut reference);
         let mut got = Vec::new();
         for backend in backends.iter().skip(1) {
             op.run(*backend, seed, &mut got);
-            let name = backend.name();
-            if name == "fast" {
-                assert_close(&format!("{} [{name}]", op.label()), &reference, &got);
-            } else {
-                assert_bits_identical(&format!("{} [{name}]", op.label()), &reference, &got);
-            }
+            let label = format!("{} [{}]", op.label(), backend.name());
+            assert_bits_identical(&label, &reference, &got);
         }
 
         let times: Vec<f64> = backends.iter().map(|b| op.time(*b, seed, reps)).collect();
@@ -227,11 +197,11 @@ fn main() {
     // 32 independent 64×32×16 products — estimation-plane minibatch scale,
     // where per-call pack/dispatch overhead rivals the arithmetic. Two
     // variants: every product with its own `B` (the lockstep-training
-    // shape — batching can only reuse the pack *allocation*, so parity is
-    // the honest expectation), and all products sharing one `B` (the
-    // shared-weights shape — the packing backends hoist the single pack
-    // out of the loop). Bit-identity of each one-call form against the
-    // backend's own sequential loop is asserted before timing.
+    // shape), and all products sharing one `B` (the shared-weights shape).
+    // `B` has 512 elements, so `blocked` runs every product on its small
+    // core and packs nothing: parity is the honest expectation for both.
+    // Bit-identity of each one-call form against the backend's own
+    // sequential loop is asserted before timing.
     let (bm, bk, bn, bbatch) = (64, 32, 16, 32);
     let bas: Vec<Vec<f64>> = (0..bbatch)
         .map(|i| fill(bm * bk, 0xBA7 + i as u64))
@@ -268,8 +238,6 @@ fn main() {
             backend.gemm_batched(bm, bk, bn, &ba_refs, &bb_refs, &mut outs);
         }
         for (i, (want, got)) in looped.iter().zip(&outs_buf).enumerate() {
-            // `fast` included: its batched default *is* the loop, so even
-            // the reassociating backend owes bit-identity to itself here.
             assert_bits_identical(
                 &format!("batched gemm product {i} [{}]", backend.name()),
                 want,
@@ -341,14 +309,14 @@ fn main() {
     println!("\ngates:");
     let gate_rounds = if quick { 3 } else { 5 };
 
-    // Gate 1 + 2: blocked vs naive, simd vs blocked on 256x256, measured
-    // as the best of several interleaved rounds (round-robin timing keeps
-    // scheduler noise from landing on one contender only).
+    // Gate 1: blocked vs naive on 256x256, measured as the best of several
+    // interleaved rounds (round-robin timing keeps scheduler noise from
+    // landing on one contender only).
     let (m, k, n) = (256, 256, 256);
     let a = fill(m * k, 0xA256);
     let b = fill(k * n, 0xB256);
     let mut out = vec![0.0; m * n];
-    let (mut t_naive, mut t_blocked, mut t_simd) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut t_naive, mut t_blocked) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..gate_rounds {
         t_naive = t_naive.min(best_secs(reps, || {
             out.fill(0.0);
@@ -358,10 +326,6 @@ fn main() {
             out.fill(0.0);
             BlockedKernel.gemm(m, k, n, &a, &b, &mut out);
         }));
-        t_simd = t_simd.min(best_secs(reps, || {
-            out.fill(0.0);
-            SimdKernel.gemm(m, k, n, &a, &b, &mut out);
-        }));
     }
     let blocked_speedup = t_naive / t_blocked;
     println!("  blocked vs naive on 256x256: {blocked_speedup:.2}x (target >= 2x)");
@@ -370,50 +334,7 @@ fn main() {
         "blocked kernel must be >= 2x naive on 256x256 matmul, got {blocked_speedup:.2}x"
     );
 
-    let simd_speedup = t_blocked / t_simd;
-    #[cfg(target_arch = "x86_64")]
-    let avx512 = std::arch::is_x86_feature_detected!("avx512f");
-    #[cfg(not(target_arch = "x86_64"))]
-    let avx512 = false;
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let avx2 = false;
-    if avx512 {
-        // The architectural uplift of the AVX-512 path over blocked's
-        // 256-bit auto-vectorized core is 2x width x ~0.75x sustained
-        // 512-bit license clock = ~1.5x, and the micro-kernel measures at
-        // >= 95% of the throttled port ceiling — so the measured ratio
-        // sits *on* the target and shared-runner noise swings it a few
-        // percent either way. The gate therefore allows a 4% measurement
-        // band below the 1.5x target.
-        println!("  simd vs blocked on 256x256:  {simd_speedup:.2}x (AVX-512 path; target 1.5x, gate >= 1.44x)");
-        assert!(
-            simd_speedup >= 1.44,
-            "simd kernel must reach the 1.5x-target band (>= 1.44x after noise) over blocked \
-             on 256x256 matmul with AVX-512, got {simd_speedup:.2}x"
-        );
-    } else if avx2 {
-        // Parity is the documented outcome here, so the gate needs the
-        // same noise band the AVX-512 gate gets — a genuine tie measures
-        // a few percent either side of 1x run to run.
-        println!(
-            "  simd vs blocked on 256x256:  {simd_speedup:.2}x (AVX2-only host; target 1x, \
-             gate >= 0.95x — blocked's auto-vectorized core already saturates the 256-bit \
-             mul/add ports, the 1.5x uplift needs the AVX-512 path)"
-        );
-        assert!(
-            simd_speedup >= 0.95,
-            "simd kernel must not lose to blocked on 256x256 matmul (>= 0.95x after noise), \
-             got {simd_speedup:.2}x"
-        );
-    } else {
-        println!(
-            "  simd vs blocked on 256x256:  {simd_speedup:.2}x (no vector unit; bit gate only)"
-        );
-    }
-
-    // Gate 3: sharded bit-identity at 1, 2, and 4 worker threads on the
+    // Gate 2: sharded bit-identity at 1, 2, and 4 worker threads on the
     // heavy shapes (big enough to cross the fan-out threshold), plus the
     // multi-core speed half where cores exist.
     let (gm, gk, gn) = (512, 512, 512);
@@ -440,39 +361,39 @@ fn main() {
 
     let mut shard_speedup = None;
     if cores >= 2 {
-        // Interleaved rounds like gates 1–2, and a gate band below the
+        // Interleaved rounds like gate 1, and a gate band below the
         // >1x target: on 2-"core" hosts whose vCPUs are hyperthread
         // siblings, the second shard adds little FP throughput while
         // spawn/sync overhead is real, so near-parity is legitimate
         // there; with ≥4 cores real parallelism must show.
         let mut gout = vec![0.0; gm * gn];
-        let (mut t_simd_big, mut t_shard_big) = (f64::INFINITY, f64::INFINITY);
+        let (mut t_blocked_big, mut t_shard_big) = (f64::INFINITY, f64::INFINITY);
         let shard_all = ShardedKernel::with_threads(cores);
         for _ in 0..gate_rounds {
-            t_simd_big = t_simd_big.min(best_secs(reps, || {
+            t_blocked_big = t_blocked_big.min(best_secs(reps, || {
                 gout.fill(0.0);
-                SimdKernel.gemm(gm, gk, gn, &ga, &gb, &mut gout);
+                BlockedKernel.gemm(gm, gk, gn, &ga, &gb, &mut gout);
             }));
             t_shard_big = t_shard_big.min(best_secs(reps, || {
                 gout.fill(0.0);
                 shard_all.gemm(gm, gk, gn, &ga, &gb, &mut gout);
             }));
         }
-        let speedup = t_simd_big / t_shard_big;
+        let speedup = t_blocked_big / t_shard_big;
         shard_speedup = Some(speedup);
         let floor = if cores >= 4 { 1.2 } else { 0.9 };
         println!(
-            "  sharded({cores}) vs simd on 512x512: {speedup:.2}x (target > 1x on \
+            "  sharded({cores}) vs blocked on 512x512: {speedup:.2}x (target > 1x on \
              multi-core hosts; gate >= {floor}x for {cores} cores)"
         );
         assert!(
             speedup >= floor,
-            "sharded must reach {floor}x over simd on a {cores}-core host, \
+            "sharded must reach {floor}x over blocked on a {cores}-core host, \
              got {speedup:.2}x"
         );
     } else {
         println!(
-            "  sharded vs simd speed gate skipped: single-core host (bit gate above still \
+            "  sharded vs blocked speed gate skipped: single-core host (bit gate above still \
              enforced; the fan-out shows up on multi-core machines)"
         );
     }
@@ -486,11 +407,10 @@ fn main() {
     use std::fmt::Write as _;
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"kernels\",");
-    let _ = writeln!(json, "  \"schema_version\": 2,");
+    let _ = writeln!(json, "  \"schema_version\": 3,");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(json, "  \"blocked_speedup\": {blocked_speedup:.4},");
-    let _ = writeln!(json, "  \"simd_speedup\": {simd_speedup:.4},");
     match shard_speedup {
         Some(s) => {
             let _ = writeln!(json, "  \"sharded_speedup\": {s:.4},");
@@ -527,5 +447,5 @@ fn main() {
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!("\nwrote {path}");
 
-    println!("\nall gates passed; deterministic backends bit-identical on every timed shape");
+    println!("\nall gates passed; every backend bit-identical on every timed shape");
 }

@@ -20,13 +20,13 @@
 //!   always run);
 //! - `ST_BENCH_JSON` — output path (default `BENCH_pipeline.json`);
 //! - `ST_KERNEL` — overrides the bench default (`sharded` on multi-core
-//!   hosts, `simd` on single-core).
+//!   hosts, `blocked` on single-core).
 
 use slice_tuner::{PoolSource, RunResult, SliceTuner, Strategy, TSchedule};
 use st_bench::{assert_bits_identical, bench_fill as fill, best_secs, rule, FamilySetup};
 use st_curve::{fit_power_law, EstimationMode, PowerLaw, SliceEstimate};
 use st_data::SlicedDataset;
-use st_linalg::{GemmBackend, SimdKernel};
+use st_linalg::{BlockedKernel, GemmBackend};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -76,7 +76,7 @@ fn gate_config(setup: &FamilySetup, seed: u64, plane: Plane) -> slice_tuner::Tun
 
 /// The batched-plane gate cell: the UTKFace analog under the paper's
 /// softmax model. The batched plane's compressible costs are the eval
-/// GEMMs (the stacked `[W_1 | … | W_R]` head fills simd panels a per-model
+/// GEMMs (the stacked `[W_1 | … | W_R]` head fills packed panels a per-model
 /// product leaves idle) and per-request packing/scratch setup; its
 /// incompressible costs — softmax/NLL transcendentals and minibatch
 /// arithmetic — are op-for-op pinned by the bit-identity contract. The
@@ -525,20 +525,21 @@ fn main() {
     // kernels bench's "fwd" shape) consumed in 16-row minibatches — the
     // minibatch regime where per-call re-packing of the 784×64 operand is
     // a measurable fraction of each call. Measured on the single-threaded
-    // simd core so the reading is host-core-count independent; bits must
-    // match exactly either way.
+    // blocked kernel (the 784×64 operand is above its small-core cutoff,
+    // so both contenders run the packed core) so the reading is
+    // host-core-count independent; bits must match exactly either way.
     let (rows, k, n, mb) = (512usize, 784usize, 64usize, 16usize);
     let reps = if quick { 5 } else { 9 };
     let pack_rounds = if quick { 3 } else { 5 };
     let a = fill(rows * k, 0xA11CE);
     let b = fill(k * n, 0xB0B);
-    let simd = SimdKernel;
+    let blocked = BlockedKernel;
 
     let run_per_call = |out: &mut [f64]| {
         out.fill(0.0);
         for r0 in (0..rows).step_by(mb) {
             let h = mb.min(rows - r0);
-            simd.gemm(
+            blocked.gemm(
                 h,
                 k,
                 n,
@@ -552,10 +553,10 @@ fn main() {
         out.fill(0.0);
         // The single pack is part of the timed body: the speedup below is
         // end-to-end, not pack-cost-hidden.
-        let pb = simd.pack_b(k, n, &b);
+        let pb = blocked.pack_b(k, n, &b);
         for r0 in (0..rows).step_by(mb) {
             let h = mb.min(rows - r0);
-            simd.gemm_prepacked(
+            blocked.gemm_prepacked(
                 h,
                 k,
                 n,
@@ -575,16 +576,16 @@ fn main() {
     // The fused-bias epilogue must also match the separate bias pass on
     // the same shape (the per-layer affine forward contract).
     let bias = fill(n, 0xB1A5);
-    let pb = simd.pack_b(k, n, &b);
+    let pb = blocked.pack_b(k, n, &b);
     let mut unfused = vec![0.0; rows * n];
-    simd.gemm_prepacked(rows, k, n, &a, &pb, &mut unfused);
+    blocked.gemm_prepacked(rows, k, n, &a, &pb, &mut unfused);
     for row in unfused.chunks_exact_mut(n) {
         for (o, &bv) in row.iter_mut().zip(&bias) {
             *o += bv;
         }
     }
     let mut fused = vec![0.0; rows * n];
-    simd.gemm_prepacked_bias(rows, k, n, &a, &pb, &bias, &mut fused);
+    blocked.gemm_prepacked_bias(rows, k, n, &a, &pb, &bias, &mut fused);
     assert_bits_identical("fused bias 512x784x64", &unfused, &fused);
 
     // Interleaved rounds so scheduler noise cannot land on one contender.
@@ -594,7 +595,7 @@ fn main() {
         t_pack = t_pack.min(best_secs(reps, || run_prepacked(&mut prepacked_out)));
     }
     let speedup = t_call / t_pack;
-    println!("prepacked gate: {rows}x{k}x{n} in {mb}-row minibatches (simd core, bit-identical)");
+    println!("prepacked gate: {rows}x{k}x{n} in {mb}-row minibatches (blocked packed core, bit-identical)");
     println!(
         "  per-call packing: {:.3} ms | prepacked: {:.3} ms | speedup {speedup:.2}x (target >= 1.2x{})",
         t_call * 1e3,

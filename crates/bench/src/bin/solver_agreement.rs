@@ -24,7 +24,7 @@ fn random_problem(rng: &mut SplitMix64, n: usize, lambda: f64) -> AcquisitionPro
 }
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
+    // Bench-wide kernel default: `sharded` on multi-core hosts, `blocked`
     // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
     st_bench::init_bench_kernel();
     let instances = 50;

@@ -6,7 +6,7 @@ use slice_tuner::{Strategy, TSchedule};
 use st_bench::{fmt_counts, rule, run_cell, trials, FamilySetup};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
+    // Bench-wide kernel default: `sharded` on multi-core hosts, `blocked`
     // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
     st_bench::init_bench_kernel();
     let methods = [

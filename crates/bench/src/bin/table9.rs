@@ -7,7 +7,7 @@ use st_bench::{rule, run_cell, trials, FamilySetup};
 use st_models::ModelSpec;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
+    // Bench-wide kernel default: `sharded` on multi-core hosts, `blocked`
     // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
     st_bench::init_bench_kernel();
     let mut setup = FamilySetup::fashion();

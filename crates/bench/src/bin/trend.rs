@@ -282,12 +282,6 @@ fn main() {
             );
             write_num(
                 &mut entry,
-                "kernels_simd_speedup",
-                num_after(k, "\"simd_speedup\": "),
-                ",",
-            );
-            write_num(
-                &mut entry,
                 "kernels_sharded_speedup",
                 num_after(k, "\"sharded_speedup\": "),
                 ",",
@@ -295,11 +289,9 @@ fn main() {
             // Batched-vs-looped small-shape group (kernels schema 2+):
             // per-backend one-call-over-loop ratios.
             let group = k.find("\"batched_group\": {");
-            for (i, backend) in ["naive", "blocked", "simd", "sharded", "fast"]
-                .iter()
-                .enumerate()
-            {
-                let comma = if i + 1 < 5 { "," } else { "" };
+            let backends = ["naive", "blocked", "sharded"];
+            for (i, backend) in backends.iter().enumerate() {
+                let comma = if i + 1 < backends.len() { "," } else { "" };
                 write_num(
                     &mut entry,
                     &format!("kernels_batched_{backend}_speedup"),

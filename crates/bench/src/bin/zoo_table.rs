@@ -14,7 +14,7 @@ use st_data::SlicedDataset;
 use std::collections::HashMap;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
+    // Bench-wide kernel default: `sharded` on multi-core hosts, `blocked`
     // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
     st_bench::init_bench_kernel();
     let mut wins: HashMap<&'static str, usize> = HashMap::new();

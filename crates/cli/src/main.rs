@@ -25,36 +25,12 @@ fn main() -> ExitCode {
         }
     };
     // `--kernel` must be fixed before the first dense operation; it is a
-    // global flag valid on every compute command, as is the opt-in for
-    // non-deterministic backends.
-    let allow_nondeterministic = match parsed.get_or("allow-nondeterministic-kernel", false) {
-        Ok(v) => v,
-        Err(e) => {
+    // global flag valid on every compute command.
+    if let Some(name) = parsed.get("kernel") {
+        if let Err(e) = select_kernel(name) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    if let Some(name) = parsed.get("kernel") {
-        match select_kernel(name, allow_nondeterministic) {
-            Ok(()) => {}
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The opt-in must also cover kernels selected via ST_KERNEL in the
-    // environment, not just the flag — every command computes under the
-    // process kernel, so the refusal happens here, once, for all of them.
-    let active = st_linalg::kernel_kind();
-    if !active.bit_deterministic() && !allow_nondeterministic {
-        eprintln!(
-            "error: kernel '{}' (ST_KERNEL) is not bit-deterministic; pass \
-             --allow-nondeterministic-kernel true to waive reproducibility, or pick one of: {}",
-            active.name(),
-            st_linalg::kernel_names()
-        );
-        return ExitCode::FAILURE;
     }
     let result = match parsed.command.as_deref() {
         Some("tune") => cmd_tune(&parsed),
@@ -99,9 +75,8 @@ fn usage() {
          \x20 slice-tuner-cli call      --url <host:port/path> [--method GET|POST] [--body '<json|csv>']\n\
          \x20 slice-tuner-cli families\n\
          families: fashion | mixed | faces | census | driftbench\n\
-         global: --kernel naive|blocked|simd|sharded|fast (compute backend; default blocked,\n\
-         \x20        also ST_KERNEL; 'fast' additionally needs --allow-nondeterministic-kernel\n\
-         \x20        true because it waives bit-reproducibility)\n\
+         global: --kernel naive|blocked|sharded (compute backend; default blocked, also\n\
+         \x20        ST_KERNEL; every backend gives bit-identical results)\n\
          \x20       ST_FAULT=<spec>[,<spec>...] injects deterministic faults for chaos testing;\n\
          \x20        specs: trial_panic@<trial> | nan_loss@slice<S>:round<R> | fit_diverge@<p>\n\
          \x20        | conn_drop@<req> | slow_client@<req>:ms<M> | session_panic@<s>:round<R>\n\
@@ -113,26 +88,14 @@ fn usage() {
 }
 
 /// Applies the global `--kernel` flag via `st_linalg::set_kernel`.
-///
-/// Unknown names list every valid backend; the non-deterministic `fast`
-/// backend additionally requires `--allow-nondeterministic-kernel true`,
-/// because it waives the bit-identity contract the trial runner (and every
-/// determinism regression gate) relies on.
-fn select_kernel(name: &str, allow_nondeterministic: bool) -> Result<(), String> {
+/// Unknown names list every valid backend.
+fn select_kernel(name: &str) -> Result<(), String> {
     let kind = st_linalg::KernelKind::from_name(name).ok_or_else(|| {
         format!(
             "unknown kernel '{name}' (valid kernels: {})",
             st_linalg::kernel_names()
         )
     })?;
-    if !kind.bit_deterministic() && !allow_nondeterministic {
-        return Err(format!(
-            "kernel '{name}' is not bit-deterministic; pass \
-             --allow-nondeterministic-kernel true to waive reproducibility, \
-             or pick one of: {}",
-            st_linalg::kernel_names()
-        ));
-    }
     st_linalg::set_kernel(kind).map_err(|active| {
         format!(
             "compute kernel already fixed to '{}' (ST_KERNEL in the environment?)",
@@ -196,7 +159,6 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         "max-staleness",
         "max-drift-resets",
         "kernel",
-        "allow-nondeterministic-kernel",
     ];
     reject_unknown(args, &known)?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
@@ -278,7 +240,6 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         config = config.with_max_staleness(bound);
     }
     config = config.with_max_drift_resets(max_drift_resets);
-    config.allow_nondeterministic_kernel = args.get_or("allow-nondeterministic-kernel", false)?;
     config.train.epochs = args.get_or("epochs", config.train.epochs)?;
     let mut tuner = SliceTuner::new(ds, &mut pool, config);
     let result = tuner.try_run(strategy, budget).map_err(|e| e.to_string())?;
@@ -414,7 +375,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             "workers",
             "session-budget-ms",
             "kernel",
-            "allow-nondeterministic-kernel",
         ],
     )?;
     let mut cfg = st_server::ServerConfig::new(args.get("dir").unwrap_or("st_sessions"));
@@ -450,15 +410,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn cmd_call(args: &Args) -> Result<(), String> {
     reject_unknown(
         args,
-        &[
-            "url",
-            "method",
-            "body",
-            "attempts",
-            "timeout-ms",
-            "kernel",
-            "allow-nondeterministic-kernel",
-        ],
+        &["url", "method", "body", "attempts", "timeout-ms", "kernel"],
     )?;
     let url = args
         .get("url")
@@ -487,15 +439,7 @@ fn cmd_call(args: &Args) -> Result<(), String> {
 fn cmd_curves(args: &Args) -> Result<(), String> {
     reject_unknown(
         args,
-        &[
-            "family",
-            "size",
-            "seed",
-            "validation",
-            "bands",
-            "kernel",
-            "allow-nondeterministic-kernel",
-        ],
+        &["family", "size", "seed", "validation", "bands", "kernel"],
     )?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
     let size: usize = args.get_or("size", 300)?;
@@ -560,7 +504,6 @@ fn cmd_autoslice(args: &Args) -> Result<(), String> {
             "min-size",
             "seed",
             "kernel",
-            "allow-nondeterministic-kernel",
         ],
     )?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
@@ -608,7 +551,6 @@ fn cmd_sensitivity(args: &Args) -> Result<(), String> {
             "seed",
             "validation",
             "kernel",
-            "allow-nondeterministic-kernel",
         ],
     )?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
@@ -680,7 +622,6 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
         "cache",
         "config",
         "kernel",
-        "allow-nondeterministic-kernel",
     ];
     reject_unknown(args, &known)?;
 
@@ -726,7 +667,6 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
         .with_seed(seed)
         .with_lambda(lambda)
         .with_max_retries(retries);
-    config.allow_nondeterministic_kernel = args.get_or("allow-nondeterministic-kernel", false)?;
     let default_epochs = if base.epochs > 0 {
         base.epochs
     } else {

@@ -83,8 +83,7 @@ pub use strategy::{
     TSchedule,
 };
 pub use trials::{
-    ensure_deterministic_kernel, plan_thread_budget, run_trials_parallel, try_run_trials_parallel,
-    ThreadBudget, TrialError,
+    plan_thread_budget, run_trials_parallel, try_run_trials_parallel, ThreadBudget, TrialError,
 };
 pub use tuner::{batch_plane_names, RunResult, SliceTuner, TunerConfig, TuningWarning};
 

@@ -73,28 +73,6 @@ pub fn plan_thread_budget(
     }
 }
 
-/// Refuses kernels that waive the bit-determinism contract unless the
-/// caller opted in: trial aggregates, the curve cache, and the `--jobs`
-/// regression gates all assume bit-identical kernels.
-///
-/// # Errors
-/// Returns a message naming the offending kernel when `kind` is
-/// non-deterministic and `allow` is false.
-pub fn ensure_deterministic_kernel(kind: KernelKind, allow: bool) -> Result<(), String> {
-    if kind.bit_deterministic() || allow {
-        Ok(())
-    } else {
-        Err(format!(
-            "the deterministic trial path refuses the '{}' kernel: it waives the \
-             bit-identity contract that trial aggregation and the curve cache rely on \
-             (pass --allow-nondeterministic-kernel / set \
-             TunerConfig::allow_nondeterministic_kernel to opt in, or pick one of: {})",
-            kind.name(),
-            st_linalg::kernel_names()
-        ))
-    }
-}
-
 /// A trial worker that panicked on every allowed attempt (see
 /// [`TunerConfig::max_retries`](crate::tuner::TunerConfig::max_retries)).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,9 +226,6 @@ pub fn try_run_trials_parallel(
 ) -> Result<AggregateResult, TrialError> {
     assert!(trials > 0, "need at least one trial");
     let kernel = st_linalg::kernel_kind();
-    if let Err(e) = ensure_deterministic_kernel(kernel, config.allow_nondeterministic_kernel) {
-        panic!("{e}");
-    }
     let total_workers = if jobs == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -530,28 +505,6 @@ mod tests {
         );
         let one_par = run_trials_parallel(&fam, &[40; 4], 50, 80.0, Strategy::OneShot, &cfg, 1, 8);
         assert_bit_identical(&one_seq, &one_par);
-    }
-
-    /// The ISSUE's fast-kernel gate: the deterministic trial path must
-    /// refuse `fast` unless the caller explicitly opts in. (The check is
-    /// exercised directly because the process-wide kernel kind cannot be
-    /// switched inside a test; both runners call this with
-    /// `st_linalg::kernel_kind()`.)
-    #[test]
-    fn fast_kernel_is_refused_by_the_deterministic_trial_path() {
-        let err = ensure_deterministic_kernel(KernelKind::Fast, false)
-            .expect_err("fast must be refused without the opt-in");
-        assert!(err.contains("fast"), "{err}");
-        assert!(err.contains("allow-nondeterministic-kernel"), "{err}");
-        assert!(
-            ensure_deterministic_kernel(KernelKind::Fast, true).is_ok(),
-            "the opt-in waives the refusal"
-        );
-        for kind in KernelKind::ALL {
-            if kind.bit_deterministic() {
-                assert!(ensure_deterministic_kernel(kind, false).is_ok(), "{kind:?}");
-            }
-        }
     }
 
     #[test]

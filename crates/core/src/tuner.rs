@@ -48,13 +48,6 @@ pub struct TunerConfig {
     /// hit is bit-identical to recomputation; share one cache across every
     /// strategy/trial of an experiment (see [`crate::cache`]).
     pub cache: Option<std::sync::Arc<CurveCache>>,
-    /// Waives the bit-determinism contract for the compute kernel: the
-    /// trial runner refuses to run under a non-deterministic backend
-    /// (`ST_KERNEL=fast`) unless this is set (the CLI's
-    /// `--allow-nondeterministic-kernel`). Off by default — `fast` trades
-    /// reproducible bits for speed, and every determinism regression gate
-    /// in the workspace assumes bit-identical kernels.
-    pub allow_nondeterministic_kernel: bool,
     /// Forces the estimator back onto the per-call gather path: clone the
     /// subset examples and rebuild every slice's validation matrix on
     /// every `measure` call, instead of riding the dataset's cached dense
@@ -181,8 +174,8 @@ pub fn batch_plane_names() -> &'static str {
 /// batched estimation plane, pinning the sequential bit-identity baseline
 /// (the CI matrix's `ST_BATCH=0` leg). `ST_BATCH=1` and an unset variable
 /// keep the default. A silent typo here would let CI green-light a plane it
-/// never ran, so unknown values warn like unknown `ST_KERNEL` /
-/// `ST_SIMD_FORCE` values do, listing the accepted settings.
+/// never ran, so unknown values warn like unknown `ST_KERNEL` values
+/// do, listing the accepted settings.
 fn batched_env_default() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *FLAG.get_or_init(|| match std::env::var("ST_BATCH") {
@@ -215,7 +208,6 @@ impl TunerConfig {
             seed: 0,
             threads: 0,
             cache: None,
-            allow_nondeterministic_kernel: false,
             per_call_gather: false,
             incremental: incremental_env_default(),
             warm_start: false,
@@ -262,12 +254,6 @@ impl TunerConfig {
     /// Attaches a shared curve-estimation cache.
     pub fn with_cache(mut self, cache: std::sync::Arc<CurveCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Opts this run into non-deterministic compute kernels (`fast`).
-    pub fn allowing_nondeterministic_kernel(mut self) -> Self {
-        self.allow_nondeterministic_kernel = true;
         self
     }
 

@@ -3,25 +3,25 @@
 //! Every dense product in the workspace — batch forward/backward passes in
 //! `st-models`, the QR factorization behind the curve fitter, the trial
 //! executor's evaluation matmuls — bottoms out in the handful of primitives
-//! defined by [`GemmBackend`]. This module owns that trait, a transparent
-//! reference implementation ([`NaiveKernel`]), the default
+//! defined by [`GemmBackend`]. This module owns that trait and three
+//! backends: the transparent reference [`NaiveKernel`], the default
 //! [`BlockedKernel`] (an allocation-free register-tiled core for
-//! minibatch-sized products, a packed cache-blocked core above
-//! `SMALL_B_MAX`), and the explicit-SIMD, sharded and opt-in FMA
-//! backends built beside it.
+//! minibatch-sized products, an explicit-SIMD packed core above
+//! `SMALL_B_MAX`), and [`ShardedKernel`], which fans the blocked cores out
+//! over worker threads.
 //!
 //! **Bit-identical accumulation.** Slice Tuner's determinism story (trial
 //! aggregates independent of `--jobs`, memoized curve estimations, pinned
 //! proptest seeds) requires that swapping kernels never changes a single
-//! output bit. Every deterministic kernel therefore accumulates each output
-//! element in strictly ascending `k` order — blocking only re-tiles the
+//! output bit. Every kernel therefore accumulates each output element in
+//! strictly ascending `k` order — blocking only re-tiles the
 //! *interleaving* across output elements, never the per-element summation
 //! chain. The proptest suite in `crates/linalg/tests/proptests.rs` asserts
 //! exact (`to_bits`) equality across rectangular and degenerate shapes, and
 //! CI runs the whole workspace under each `ST_KERNEL` value.
 //!
 //! **Selection.** The active kernel is process-global and fixed on first
-//! use: `ST_KERNEL=naive|blocked|simd|sharded|fast` in the environment, or
+//! use: `ST_KERNEL=naive|blocked|sharded` in the environment, or
 //! [`set_kernel`] before any dense operation (the CLI's `--kernel` flag).
 //! A new backend plugs in by implementing [`GemmBackend`] and extending
 //! [`KernelKind`]; see `docs/kernels.md`.
@@ -38,14 +38,6 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Panel width of the packed GEMM micro-kernel: output columns are packed
-/// four at a time, interleaved per `k` step, so the inner loop reads one
-/// contiguous 4-lane group per multiply (vectorizes as broadcast·panel).
-const PW: usize = 4;
-/// Byte budget for the set of `B` panels kept hot between reuses; panels
-/// are processed in blocks of roughly this size so they stay in L2 while
-/// every row of `A` streams over them.
-const PANEL_BLOCK_BYTES: usize = 128 * 1024;
 /// Below this many `A` rows the packing pass costs more than it saves and
 /// the register-tiled axpy path is used instead.
 const PACK_MIN_ROWS: usize = 5;
@@ -65,23 +57,23 @@ const TB: usize = 32;
 /// size, by 1.8–6× at 32 rows; the crossover with the prepacked core lies
 /// far above it, between 128K and 256K elements, where `B` outgrows L2.
 const SMALL_B_MAX: usize = 2048;
-/// Panel width of the SIMD kernels: eight output columns per packed group
+/// Panel width of the packed core: eight output columns per packed group
 /// (one 512-bit vector, or two 256-bit vectors).
 const SPW: usize = 8;
-/// Widest output-column panel any backend packs (the SIMD kernels' [`SPW`]).
+/// Widest output-column panel the packed core fills ([`SPW`]).
 /// Batched-GEMM callers can consult this to predict whether a product's
 /// columns will fill a panel: products narrower than this under-fill every
 /// panel no matter how many are batched per call (batching preserves the
 /// per-product packing to stay bit-identical), so batching them saves only
 /// dispatch overhead — see `st_models::train_on_rows_batched`.
 pub const MAX_PANEL_WIDTH: usize = SPW;
-/// Panel-block byte budget of the SIMD kernels. Larger than
-/// [`PANEL_BLOCK_BYTES`]: the explicit micro-kernels stream `A` once per
-/// block, so on the bigger L2 of AVX-512-era cores a wider resident set
-/// trades a little cache pressure for fewer passes over `A`.
+/// Byte budget for the set of packed `B` panels kept hot between reuses:
+/// panels are processed in blocks of roughly this size so they stay in L2
+/// while every row of `A` streams over them. The micro-kernels stream `A`
+/// once per block, so on the large L2 of AVX-512-era cores a wide resident
+/// set trades a little cache pressure for fewer passes over `A`.
 const SIMD_PANEL_BLOCK_BYTES: usize = 512 * 1024;
-/// Sample-row tile of the `gemm_tn` block loops (shared by the blocked and
-/// SIMD backends).
+/// Sample-row tile of the packed `gemm_tn` block loop.
 const IB: usize = 128;
 /// Scalar multiply count below which [`ShardedKernel`] runs on the calling
 /// thread: spawning workers costs tens of microseconds, which only pays
@@ -90,19 +82,18 @@ const SHARD_MIN_WORK: usize = 1 << 20;
 
 /// Internal layout tag of a [`PackedB`] handle.
 ///
-/// The layout decides which packed compute core consumes the handle; all
-/// three cores keep every output element's ascending-`k` accumulation
-/// chain, so the layout affects throughput only, never bits.
+/// The layout decides which compute core consumes the handle; both keep
+/// every output element's ascending-`k` accumulation chain, so the layout
+/// affects throughput only, never bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PackLayout {
-    /// Verbatim row-major copy of `B` (`k×n`) — the pack-on-call fallback:
-    /// every prepacked call runs the backend's ordinary `gemm` on it.
+    /// Verbatim row-major copy of `B` (`k×n`): the pack-on-call fallback
+    /// (every prepacked call runs the backend's ordinary `gemm` on it),
+    /// and [`BlockedKernel`]'s layout at or below `SMALL_B_MAX`.
     Raw,
-    /// [`PW`]-wide interleaved column panels ([`BlockedKernel`] layout).
-    Panels4,
-    /// [`SPW`]-wide interleaved column panels ([`SimdKernel`] layout,
-    /// shared by the sharded backend's per-worker core).
-    Panels8,
+    /// [`SPW`]-wide interleaved column panels: [`BlockedKernel`]'s packed
+    /// core above `SMALL_B_MAX`.
+    Panels,
 }
 
 /// A `B` operand packed **once** into a backend's panel layout and reused
@@ -361,11 +352,10 @@ pub trait GemmBackend: Send + Sync {
     // Pack once, multiply many times. The default implementations are the
     // pack-on-call fallback: the handle stores the operand verbatim and
     // every prepacked call runs the backend's ordinary entry point — this
-    // is what `naive` (and the reassociating `fast` backend) use. The
-    // packing backends (`blocked`, `simd`, `sharded`) override the pack
-    // methods to emit their native panel layouts; `gemm_prepacked` then
-    // feeds the matching packed core directly, skipping the per-call pack.
-    // Every combination is bit-identical to the pack-on-call twin.
+    // is what `naive` uses. `blocked` and `sharded` override the pack
+    // methods to emit panels above `SMALL_B_MAX`; `gemm_prepacked` then
+    // feeds the packed core directly, skipping the per-call pack. Every
+    // combination is bit-identical to the pack-on-call twin.
 
     /// Packs the `B` operand of [`gemm`](Self::gemm) (`b: k×n` row-major)
     /// into `dst`, reusing `dst`'s allocation.
@@ -441,8 +431,9 @@ pub trait GemmBackend: Send + Sync {
         }
         match pb.layout {
             PackLayout::Raw => self.gemm(m, k, n, a, &pb.data, out),
-            PackLayout::Panels4 => BlockedKernel::packed_gemm(m, k, n, a, &pb.data, out),
-            PackLayout::Panels8 => SimdKernel::packed_gemm(m, k, n, a, &pb.data, out),
+            PackLayout::Panels => {
+                BlockedKernel::packed_gemm(m, k, n, a, &pb.data, None, false, out)
+            }
         }
     }
 
@@ -503,8 +494,9 @@ pub trait GemmBackend: Send + Sync {
                 self.gemm(m, k, n, a, &pb.data, out);
                 bias_rows(n, bias, out);
             }
-            PackLayout::Panels4 => BlockedKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out),
-            PackLayout::Panels8 => SimdKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out),
+            PackLayout::Panels => {
+                BlockedKernel::packed_gemm(m, k, n, a, &pb.data, Some(bias), false, out)
+            }
         }
     }
 
@@ -545,11 +537,8 @@ pub trait GemmBackend: Send + Sync {
                 bias_rows(n, bias, out);
                 relu_rows(out);
             }
-            PackLayout::Panels4 => {
-                BlockedKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out)
-            }
-            PackLayout::Panels8 => {
-                SimdKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out)
+            PackLayout::Panels => {
+                BlockedKernel::packed_gemm(m, k, n, a, &pb.data, Some(bias), true, out)
             }
         }
     }
@@ -567,10 +556,10 @@ pub trait GemmBackend: Send + Sync {
     // batching only changes which product's elements interleave and how
     // often operands are re-packed, never any summation chain. The
     // default implementations are exactly that sequential loop (what
-    // `naive`/`blocked`/`fast` use); the packing backends override the
-    // hot entries to hoist shared packs out of the loop, reuse one panel
-    // allocation across the whole batch, and (`sharded`) fan products —
-    // not rows — over the worker pool.
+    // `naive` and `blocked` use — `blocked` runs every batched shape the
+    // trainer issues on its small core, which packs nothing); `sharded`
+    // overrides the hot entries to fan products — not rows — over the
+    // worker pool.
 
     /// Batched [`gemm`](Self::gemm): `outs[i] += a⟨i⟩ · b⟨i⟩` for every
     /// product `i`, where `⟨i⟩` broadcasts length-1 operand lists.
@@ -832,10 +821,12 @@ impl GemmBackend for NaiveKernel {
     }
 }
 
-/// Instantiation of [`BlockedKernel`]'s small-product core; one Rust body
-/// compiled three ways, chosen at run time.
+/// Instruction-set instantiation of a [`BlockedKernel`] core, chosen at run
+/// time: the small core is one Rust body compiled three ways; the packed
+/// core has an AVX-512 and an AVX2 intrinsics body and a portable scalar
+/// body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SmallIsa {
+enum Isa {
     #[cfg(target_arch = "x86_64")]
     Avx512,
     #[cfg(target_arch = "x86_64")]
@@ -843,19 +834,19 @@ enum SmallIsa {
     Portable,
 }
 
-impl SmallIsa {
+impl Isa {
     /// The widest instantiation this CPU runs.
-    fn detect() -> SmallIsa {
+    fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
-                return SmallIsa::Avx512;
+                return Isa::Avx512;
             }
             if std::arch::is_x86_feature_detected!("avx2") {
-                return SmallIsa::Avx2;
+                return Isa::Avx2;
             }
         }
-        SmallIsa::Portable
+        Isa::Portable
     }
 }
 
@@ -873,77 +864,23 @@ impl SmallIsa {
 ///   stack tile; `pack_b_into` / `pack_b_t_into` keep such a `B` row-major
 ///   in the `Raw` layout, so re-packing is a copy, and the fused bias and
 ///   bias+ReLU entry points run the core with the epilogue fused.
-/// * **Larger products** pack `B` into 4-wide interleaved panels and
-///   run the 2-row × 2-panel packed core over L2-sized panel blocks
-///   (`gemm_tn` transposes and packs in sample blocks; fewer than
-///   `PACK_MIN_ROWS` rows take the axpy path instead).
+/// * **Larger products** pack `B` into [`SPW`]-wide interleaved column
+///   panels and run the packed core over L2-sized panel blocks: 8-row ×
+///   3-panel AVX-512 tiles, 4-row × 1-panel AVX2 tiles, or a scalar body
+///   (`gemm_tn` transposes and packs in sample blocks; `gemm` with fewer
+///   than `PACK_MIN_ROWS` rows takes the axpy path instead).
 ///
-/// Both cores are one Rust body compiled per instruction set and picked at
-/// run time (AVX-512/AVX2/portable for the small core, AVX/portable for
-/// the packed one). Each output element is accumulated in one register
-/// chain in ascending `k` order, finished with the bias and the `< 0`
-/// clamp, and stored once, so results are bit-identical to
-/// [`NaiveKernel`] (asserted by unit tests per instantiation and by
-/// proptests on both sides of the cutoff).
+/// Each core's instantiation ([`Isa`]) is picked at run time from the
+/// CPU's features. Every output element is accumulated in one register
+/// chain in ascending `k` order (no FMA contraction, no horizontal sums),
+/// finished with the bias and the `< 0` clamp, and stored once, so results
+/// are bit-identical to [`NaiveKernel`] on every instantiation (asserted by
+/// unit tests that call each instantiation directly, and by proptests on
+/// both sides of the cutoff).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BlockedKernel;
 
 impl BlockedKernel {
-    /// Packs `B` (`k×n` row-major) into `PW`-wide interleaved column
-    /// panels: panel `q` holds columns `PW·q ..` with layout
-    /// `panel[step·PW + lane] = b[step][PW·q + lane]`, so the micro-kernel
-    /// reads one contiguous lane group per reduction step. The final panel
-    /// may be narrower than `PW`; every panel occupies `k·PW` slots so
-    /// panel addressing stays uniform.
-    fn pack_panels(k: usize, n: usize, b: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels_into(k, n, b, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels`] into a reusable buffer (cleared, zero-filled,
-    /// allocation reused) — same fill order, identical contents.
-    fn pack_panels_into(k: usize, n: usize, b: &[f64], packed: &mut Vec<f64>) {
-        let panels = n.div_ceil(PW);
-        packed.clear();
-        packed.resize(panels * k * PW, 0.0);
-        for q in 0..panels {
-            let j0 = q * PW;
-            let w = PW.min(n - j0);
-            let dst = &mut packed[q * k * PW..(q + 1) * k * PW];
-            for step in 0..k {
-                let src = &b[step * n + j0..step * n + j0 + w];
-                dst[step * PW..step * PW + w].copy_from_slice(src);
-            }
-        }
-    }
-
-    /// Packs `Bᵀ` given `bt` (`n×k` row-major, i.e. row `j` of `bt` is
-    /// column `j` of the logical `B`). Same layout as [`Self::pack_panels`].
-    fn pack_panels_t(k: usize, n: usize, bt: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels_t_into(k, n, bt, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels_t`] into a reusable buffer.
-    fn pack_panels_t_into(k: usize, n: usize, bt: &[f64], packed: &mut Vec<f64>) {
-        let panels = n.div_ceil(PW);
-        packed.clear();
-        packed.resize(panels * k * PW, 0.0);
-        for q in 0..panels {
-            let j0 = q * PW;
-            let w = PW.min(n - j0);
-            let dst = &mut packed[q * k * PW..(q + 1) * k * PW];
-            for lane in 0..w {
-                let src = &bt[(j0 + lane) * k..(j0 + lane + 1) * k];
-                for (step, &x) in src.iter().enumerate() {
-                    dst[step * PW + lane] = x;
-                }
-            }
-        }
-    }
-
     /// Whether a product whose `B` operand is `rows × cols` runs on the
     /// small-product core (see [`SMALL_B_MAX`]).
     fn is_small(rows: usize, cols: usize) -> bool {
@@ -976,7 +913,7 @@ impl BlockedKernel {
         relu: bool,
         out: &mut [f64],
     ) {
-        Self::small_gemm_on(SmallIsa::detect(), m, k, n, a, (rs, cs), b, bias, relu, out);
+        Self::small_gemm_on(Isa::detect(), m, k, n, a, (rs, cs), b, bias, relu, out);
     }
 
     /// [`Self::small_gemm`] on a chosen instantiation.
@@ -986,7 +923,7 @@ impl BlockedKernel {
     /// CPU lacks `isa`.
     #[allow(clippy::too_many_arguments)]
     fn small_gemm_on(
-        isa: SmallIsa,
+        isa: Isa,
         m: usize,
         k: usize,
         n: usize,
@@ -1013,16 +950,16 @@ impl BlockedKernel {
         unsafe {
             match isa {
                 #[cfg(target_arch = "x86_64")]
-                SmallIsa::Avx512 => {
+                Isa::Avx512 => {
                     assert!(std::arch::is_x86_feature_detected!("avx512f"));
                     Self::small_gemm_avx512(m, k, n, a, rs, cs, b, bias, relu, out)
                 }
                 #[cfg(target_arch = "x86_64")]
-                SmallIsa::Avx2 => {
+                Isa::Avx2 => {
                     assert!(std::arch::is_x86_feature_detected!("avx2"));
                     Self::small_gemm_avx2(m, k, n, a, rs, cs, b, bias, relu, out)
                 }
-                SmallIsa::Portable => Self::small_gemm_body(m, k, n, a, rs, cs, b, bias, relu, out),
+                Isa::Portable => Self::small_gemm_body(m, k, n, a, rs, cs, b, bias, relu, out),
             }
         }
     }
@@ -1205,672 +1142,13 @@ impl BlockedKernel {
         }
     }
 
-    /// The packed dot core: `out += a · B` with `B` pre-packed into
-    /// panels. Every output element is accumulated in one register across
-    /// the whole reduction (ascending `k`, bit-identical to naive) and
-    /// written exactly once; panels are walked in cache-sized blocks so
-    /// they stay in L2 while all rows of `A` stream over them.
-    /// Dispatches the packed core to the widest vector unit the CPU
-    /// offers. The AVX copy is the *same* Rust body compiled with 256-bit
-    /// lanes enabled — per-lane accumulation chains are untouched (and
-    /// Rust never contracts mul+add into FMA), so both copies are
-    /// bit-identical; only throughput changes.
-    fn packed_gemm(m: usize, k: usize, n: usize, a: &[f64], packed: &[f64], out: &mut [f64]) {
-        Self::packed_gemm_opt(m, k, n, a, packed, None, false, out);
-    }
-
-    /// [`Self::packed_gemm`] with the fused bias epilogue: `bias[j]` is
-    /// appended to each output element's accumulation chain at its single
-    /// write-back — the bits of a separate `add_bias_rows` pass.
-    fn packed_gemm_bias(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), false, out);
-    }
-
-    /// [`Self::packed_gemm_bias`] with the fused ReLU epilogue appended
-    /// after the bias: each element is clamped at zero (`< 0` compare,
-    /// [`relu_rows`] semantics) at its single write-back — the bits of a
-    /// separate ReLU pass.
-    fn packed_gemm_bias_relu(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), true, out);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn packed_gemm_opt(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out: &mut [f64],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: the `avx` target feature was just detected at runtime.
-            unsafe { Self::packed_gemm_avx(m, k, n, a, packed, bias, relu, out) };
-            return;
-        }
-        Self::packed_gemm_body(m, k, n, a, packed, bias, relu, out);
-    }
-
-    /// AVX-compiled instantiation of [`Self::packed_gemm_body`].
-    ///
-    /// # Safety
-    /// The caller must ensure the CPU supports AVX.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn packed_gemm_avx(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_body(m, k, n, a, packed, bias, relu, out);
-    }
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn packed_gemm_body(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out: &mut [f64],
-    ) {
-        let panels = n.div_ceil(PW);
-        let panel_len = k * PW;
-        let block = (PANEL_BLOCK_BYTES / (panel_len * 8)).max(1);
-        for qb in (0..panels).step_by(block) {
-            let qe = (qb + block).min(panels);
-            // Row pairs share every panel load (the 2×2 micro-tile keeps
-            // 16 accumulator lanes live); odd trailing rows take the
-            // single-row kernel.
-            let mut i = 0;
-            while i + 2 <= m {
-                let (head, tail) = out.split_at_mut((i + 1) * n);
-                Self::row_pair_block(
-                    k,
-                    n,
-                    qb,
-                    qe,
-                    &a[i * k..(i + 1) * k],
-                    &a[(i + 1) * k..(i + 2) * k],
-                    packed,
-                    bias,
-                    relu,
-                    &mut head[i * n..],
-                    &mut tail[..n],
-                );
-                i += 2;
-            }
-            if i < m {
-                Self::row_block(
-                    k,
-                    n,
-                    qb,
-                    qe,
-                    &a[i * k..(i + 1) * k],
-                    packed,
-                    bias,
-                    relu,
-                    &mut out[i * n..(i + 1) * n],
-                );
-            }
-        }
-    }
-
-    /// One output row over the panel block `qb..qe` (single-row kernel).
-    /// When `bias` is set, `bias[j]` is added after the reduction, right
-    /// before each lane's single store; `relu` then clamps the lane with
-    /// the [`relu_rows`] comparison at the same write-back.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn row_block(
-        k: usize,
-        n: usize,
-        qb: usize,
-        qe: usize,
-        a_row: &[f64],
-        packed: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out_row: &mut [f64],
-    ) {
-        let panel_len = k * PW;
-        let mut q = qb;
-        // Pairs of full panels: two 4-lane accumulator groups (8
-        // independent chains) hide add latency; lane loads are contiguous
-        // `[f64; PW]` groups, so the loop maps onto SIMD broadcast·panel.
-        while q + 2 <= qe && (q + 2) * PW <= n {
-            let p0 = &packed[q * panel_len..(q + 1) * panel_len];
-            let p1 = &packed[(q + 1) * panel_len..(q + 2) * panel_len];
-            let o = &mut out_row[q * PW..(q + 2) * PW];
-            let mut acc0: [f64; PW] = o[..PW].try_into().expect("lane group");
-            let mut acc1: [f64; PW] = o[PW..].try_into().expect("lane group");
-            for ((&x, g0), g1) in a_row
-                .iter()
-                .zip(p0.chunks_exact(PW))
-                .zip(p1.chunks_exact(PW))
-            {
-                for l in 0..PW {
-                    acc0[l] += x * g0[l];
-                }
-                for l in 0..PW {
-                    acc1[l] += x * g1[l];
-                }
-            }
-            if let Some(b) = bias {
-                for l in 0..PW {
-                    acc0[l] += b[q * PW + l];
-                }
-                for l in 0..PW {
-                    acc1[l] += b[(q + 1) * PW + l];
-                }
-            }
-            if relu {
-                for l in 0..PW {
-                    if acc0[l] < 0.0 {
-                        acc0[l] = 0.0;
-                    }
-                    if acc1[l] < 0.0 {
-                        acc1[l] = 0.0;
-                    }
-                }
-            }
-            o[..PW].copy_from_slice(&acc0);
-            o[PW..].copy_from_slice(&acc1);
-            q += 2;
-        }
-        // Lone full panel.
-        if q < qe && (q + 1) * PW <= n {
-            let p0 = &packed[q * panel_len..(q + 1) * panel_len];
-            let o = &mut out_row[q * PW..(q + 1) * PW];
-            let mut acc: [f64; PW] = o[..].try_into().expect("lane group");
-            for (&x, g) in a_row.iter().zip(p0.chunks_exact(PW)) {
-                for l in 0..PW {
-                    acc[l] += x * g[l];
-                }
-            }
-            if let Some(b) = bias {
-                for l in 0..PW {
-                    acc[l] += b[q * PW + l];
-                }
-            }
-            if relu {
-                for l in 0..PW {
-                    if acc[l] < 0.0 {
-                        acc[l] = 0.0;
-                    }
-                }
-            }
-            o.copy_from_slice(&acc);
-            q += 1;
-        }
-        // Narrow tail panel (n % PW columns).
-        if q < qe {
-            let w = n - q * PW;
-            let p0 = &packed[q * panel_len..(q + 1) * panel_len];
-            let o = &mut out_row[q * PW..q * PW + w];
-            for (lane, ov) in o.iter_mut().enumerate() {
-                let mut acc = *ov;
-                for (step, &x) in a_row.iter().enumerate() {
-                    acc += x * p0[step * PW + lane];
-                }
-                if let Some(b) = bias {
-                    acc += b[q * PW + lane];
-                }
-                if relu && acc < 0.0 {
-                    acc = 0.0;
-                }
-                *ov = acc;
-            }
-        }
-    }
-
-    /// Two output rows over the panel block `qb..qe`: the 2-row × 2-panel
-    /// micro-tile loads each packed lane group once for both rows,
-    /// halving panel traffic. Leftover panels fall back to the single-row
-    /// kernel per row.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn row_pair_block(
-        k: usize,
-        n: usize,
-        qb: usize,
-        qe: usize,
-        a0: &[f64],
-        a1: &[f64],
-        packed: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out0: &mut [f64],
-        out1: &mut [f64],
-    ) {
-        let panel_len = k * PW;
-        let mut q = qb;
-        while q + 2 <= qe && (q + 2) * PW <= n {
-            let p0 = &packed[q * panel_len..(q + 1) * panel_len];
-            let p1 = &packed[(q + 1) * panel_len..(q + 2) * panel_len];
-            let o0 = &mut out0[q * PW..(q + 2) * PW];
-            let o1 = &mut out1[q * PW..(q + 2) * PW];
-            let mut r0p0: [f64; PW] = o0[..PW].try_into().expect("lane group");
-            let mut r0p1: [f64; PW] = o0[PW..].try_into().expect("lane group");
-            let mut r1p0: [f64; PW] = o1[..PW].try_into().expect("lane group");
-            let mut r1p1: [f64; PW] = o1[PW..].try_into().expect("lane group");
-            for (((&x0, &x1), g0), g1) in a0
-                .iter()
-                .zip(a1)
-                .zip(p0.chunks_exact(PW))
-                .zip(p1.chunks_exact(PW))
-            {
-                for l in 0..PW {
-                    r0p0[l] += x0 * g0[l];
-                }
-                for l in 0..PW {
-                    r0p1[l] += x0 * g1[l];
-                }
-                for l in 0..PW {
-                    r1p0[l] += x1 * g0[l];
-                }
-                for l in 0..PW {
-                    r1p1[l] += x1 * g1[l];
-                }
-            }
-            if let Some(b) = bias {
-                for l in 0..PW {
-                    r0p0[l] += b[q * PW + l];
-                }
-                for l in 0..PW {
-                    r0p1[l] += b[(q + 1) * PW + l];
-                }
-                for l in 0..PW {
-                    r1p0[l] += b[q * PW + l];
-                }
-                for l in 0..PW {
-                    r1p1[l] += b[(q + 1) * PW + l];
-                }
-            }
-            if relu {
-                for l in 0..PW {
-                    if r0p0[l] < 0.0 {
-                        r0p0[l] = 0.0;
-                    }
-                    if r0p1[l] < 0.0 {
-                        r0p1[l] = 0.0;
-                    }
-                    if r1p0[l] < 0.0 {
-                        r1p0[l] = 0.0;
-                    }
-                    if r1p1[l] < 0.0 {
-                        r1p1[l] = 0.0;
-                    }
-                }
-            }
-            o0[..PW].copy_from_slice(&r0p0);
-            o0[PW..].copy_from_slice(&r0p1);
-            o1[..PW].copy_from_slice(&r1p0);
-            o1[PW..].copy_from_slice(&r1p1);
-            q += 2;
-        }
-        if q < qe {
-            Self::row_block(k, n, q, qe, a0, packed, bias, relu, out0);
-            Self::row_block(k, n, q, qe, a1, packed, bias, relu, out1);
-        }
-    }
-
-    /// Blocked's fused prepacked entry points. `Raw` handles — blocked
-    /// packs them only below [`SMALL_B_MAX`], though the core is exact at
-    /// any size — run the small core with the bias and clamp fused into
-    /// its single store; panel handles run their packed core.
-    #[allow(clippy::too_many_arguments)]
-    fn prepacked_affine(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        bias: &[f64],
-        relu: bool,
-        out: &mut [f64],
-    ) {
-        if !affine_prologue(m, k, n, a, pb, bias, relu, out) {
-            return;
-        }
-        let (packed, bias) = (&pb.data, Some(bias));
-        match pb.layout {
-            PackLayout::Raw => Self::small_gemm(m, k, n, a, (k, 1), packed, bias, relu, out),
-            PackLayout::Panels4 => Self::packed_gemm_opt(m, k, n, a, packed, bias, relu, out),
-            PackLayout::Panels8 => SimdKernel::packed_gemm_opt(m, k, n, a, packed, bias, relu, out),
-        }
-    }
-
-    /// Register-tiled axpy fallback for row counts too small to amortize
-    /// packing: tiles `k` ([`KC`]) and the output columns ([`NC`]), and
-    /// micro-tiles the reduction four steps at a time so each output
-    /// element is loaded once per 4 products. Adds stay in ascending `k`
-    /// order.
-    fn axpy_gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        for jc in (0..n).step_by(NC) {
-            let w = NC.min(n - jc);
-            for kc in (0..k).step_by(KC) {
-                let kw = KC.min(k - kc);
-                for i in 0..m {
-                    let out_row = &mut out[i * n + jc..i * n + jc + w];
-                    let a_seg = &a[i * k + kc..i * k + kc + kw];
-                    let mut p = 0;
-                    while p + 4 <= kw {
-                        let (x0, x1, x2, x3) = (a_seg[p], a_seg[p + 1], a_seg[p + 2], a_seg[p + 3]);
-                        let b0 = &b[(kc + p) * n + jc..(kc + p) * n + jc + w];
-                        let b1 = &b[(kc + p + 1) * n + jc..(kc + p + 1) * n + jc + w];
-                        let b2 = &b[(kc + p + 2) * n + jc..(kc + p + 2) * n + jc + w];
-                        let b3 = &b[(kc + p + 3) * n + jc..(kc + p + 3) * n + jc + w];
-                        for j in 0..w {
-                            let mut o = out_row[j];
-                            o += x0 * b0[j];
-                            o += x1 * b1[j];
-                            o += x2 * b2[j];
-                            o += x3 * b3[j];
-                            out_row[j] = o;
-                        }
-                        p += 4;
-                    }
-                    while p < kw {
-                        let x = a_seg[p];
-                        let brow = &b[(kc + p) * n + jc..(kc + p) * n + jc + w];
-                        for (o, &bv) in out_row.iter_mut().zip(brow) {
-                            *o += x * bv;
-                        }
-                        p += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl GemmBackend for BlockedKernel {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if Self::is_small(k, n) {
-            Self::small_gemm(m, k, n, a, (k, 1), b, None, false, out);
-            return;
-        }
-        if m < PACK_MIN_ROWS {
-            Self::axpy_gemm(m, k, n, a, b, out);
-            return;
-        }
-        let packed = Self::pack_panels(k, n, b);
-        Self::packed_gemm(m, k, n, a, &packed, out);
-    }
-
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(bt.len(), n * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if Self::is_small(k, n) {
-            // A small `Bᵀ` is transposed into a stack tile: `B` row-major,
-            // as the core reads it, without touching the heap.
-            let mut tile = [MaybeUninit::<f64>::uninit(); SMALL_B_MAX];
-            for (j, col) in bt[..n * k].chunks_exact(k).enumerate() {
-                for (p, &x) in col.iter().enumerate() {
-                    tile[p * n + j].write(x);
-                }
-            }
-            // SAFETY: the loops above wrote all `k·n` leading slots: the
-            // slice of `bt` (which panics if it is short) holds exactly `n`
-            // columns of `k`.
-            let b = unsafe { std::slice::from_raw_parts(tile.as_ptr().cast::<f64>(), k * n) };
-            Self::small_gemm(m, k, n, a, (k, 1), b, None, false, out);
-            return;
-        }
-        // Rows of `bt` are already the columns of the logical B, so the
-        // panel packer reads them contiguously — no transpose pass needed.
-        let packed = Self::pack_panels_t(k, n, bt);
-        Self::packed_gemm(m, k, n, a, &packed, out);
-    }
-
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), m * n);
-        debug_assert_eq!(out.len(), k * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if Self::is_small(m, n) {
-            // `Aᵀ(p, i) = a[i·k + p]`: the core reads it in place.
-            Self::small_gemm(k, m, n, a, (1, k), b, None, false, out);
-            return;
-        }
-        // Process the samples in row blocks: transpose each block of `a`
-        // (short strides, TLB-friendly), pack the matching `b` rows, and
-        // let the packed core *accumulate* the block's k×n contribution.
-        // Blocks ascend in `i` and the core reduces each block in
-        // ascending `i`, so bits match the naive rank-1 formulation.
-        let mut at_block = vec![0.0; k * IB.min(m)];
-        for ib in (0..m).step_by(IB) {
-            let h = IB.min(m - ib);
-            self.transpose(h, k, &a[ib * k..(ib + h) * k], &mut at_block[..k * h]);
-            let packed = Self::pack_panels(h, n, &b[ib * n..(ib + h) * n]);
-            Self::packed_gemm(k, h, n, &at_block[..k * h], &packed, out);
-        }
-    }
-
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), cols);
-        debug_assert_eq!(out.len(), rows);
-        // Row pairs share the streamed v loads; per-row accumulation stays
-        // ascending-k, so bits match the naive dot.
-        let mut r = 0;
-        while r + 2 <= rows {
-            let row0 = &a[r * cols..(r + 1) * cols];
-            let row1 = &a[(r + 1) * cols..(r + 2) * cols];
-            let mut acc0 = 0.0;
-            let mut acc1 = 0.0;
-            for (p, &vv) in v.iter().enumerate() {
-                acc0 += row0[p] * vv;
-                acc1 += row1[p] * vv;
-            }
-            out[r] = acc0;
-            out[r + 1] = acc1;
-            r += 2;
-        }
-        if r < rows {
-            let row = &a[r * cols..(r + 1) * cols];
-            let mut acc = 0.0;
-            for (&x, &y) in row.iter().zip(v) {
-                acc += x * y;
-            }
-            out[r] = acc;
-        }
-    }
-
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), rows);
-        debug_assert_eq!(out.len(), cols);
-        let mut r = 0;
-        while r + 2 <= rows {
-            let (v0, v1) = (v[r], v[r + 1]);
-            let row0 = &a[r * cols..(r + 1) * cols];
-            let row1 = &a[(r + 1) * cols..(r + 2) * cols];
-            for (c, o) in out.iter_mut().enumerate() {
-                let mut acc = *o;
-                acc += v0 * row0[c];
-                acc += v1 * row1[c];
-                *o = acc;
-            }
-            r += 2;
-        }
-        if r < rows {
-            let vr = v[r];
-            let row = &a[r * cols..(r + 1) * cols];
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += vr * x;
-            }
-        }
-    }
-
-    fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(b.len(), k * n);
-        if Self::is_small(k, n) {
-            // The small core reads `B` row-major: the pack is a copy.
-            raw_pack_b_into(k, n, b, dst);
-            return;
-        }
-        dst.layout = PackLayout::Panels4;
-        dst.k = k;
-        dst.n = n;
-        Self::pack_panels_into(k, n, b, &mut dst.data);
-    }
-
-    fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(bt.len(), n * k);
-        if Self::is_small(k, n) {
-            raw_pack_b_t_into(self, k, n, bt, dst);
-            return;
-        }
-        dst.layout = PackLayout::Panels4;
-        dst.k = k;
-        dst.n = n;
-        Self::pack_panels_t_into(k, n, bt, &mut dst.data);
-    }
-
-    fn gemm_prepacked_bias(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::prepacked_affine(m, k, n, a, pb, bias, false, out);
-    }
-
-    fn gemm_prepacked_bias_relu(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::prepacked_affine(m, k, n, a, pb, bias, true, out);
-    }
-
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(out.len(), rows * cols);
-        // Blocked swap: both the strided reads and the strided writes stay
-        // inside a TB×TB tile that fits L1, instead of walking a whole
-        // column per output row.
-        for rb in (0..rows).step_by(TB) {
-            let rh = TB.min(rows - rb);
-            for cb in (0..cols).step_by(TB) {
-                let cw = TB.min(cols - cb);
-                for r in rb..rb + rh {
-                    let row = &a[r * cols + cb..r * cols + cb + cw];
-                    for (dc, &x) in row.iter().enumerate() {
-                        out[(cb + dc) * rows + r] = x;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Vector-width cap for the [`SimdKernel`] dispatch (`ST_SIMD_FORCE`):
-/// `avx2` → 256, `scalar` → 0, anything else / unset → unlimited. Read
-/// once; used by CI to exercise every instantiation on one host.
-#[cfg(target_arch = "x86_64")]
-fn simd_width_cap() -> u32 {
-    static CAP: OnceLock<u32> = OnceLock::new();
-    *CAP.get_or_init(|| match std::env::var("ST_SIMD_FORCE").as_deref() {
-        Ok("avx2") => 256,
-        Ok("scalar") => 0,
-        Ok(other) => {
-            // A silent typo here would let CI green-light a path it never
-            // ran; warn like unknown ST_KERNEL values do, listing the
-            // accepted values from the same source the docs use.
-            eprintln!(
-                "warning: unknown ST_SIMD_FORCE '{other}', using full width (valid values: {})",
-                simd_force_names()
-            );
-            u32::MAX
-        }
-        Err(_) => u32::MAX,
-    })
-}
-
-/// The explicit-SIMD backend: AVX2 intrinsics with an AVX-512 path where
-/// the CPU offers one, selected at runtime.
-///
-/// The vector lanes map to **distinct output columns** — eight at a time,
-/// packed like [`BlockedKernel`]'s panels but [`SPW`]-wide — and every
-/// output element keeps its own ascending-`k` multiply/add chain (no FMA
-/// contraction, no horizontal reductions). The scalar fallback mirrors the
-/// lane arithmetic exactly, so `simd` is bit-identical to [`NaiveKernel`]
-/// on every target; only throughput differs between the AVX2, AVX-512, and
-/// scalar instantiations.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SimdKernel;
-
-impl SimdKernel {
     /// Packs `B` (`k×n` row-major) into [`SPW`]-wide interleaved column
-    /// panels: `panel[step·SPW + lane] = b[step][SPW·q + lane]`, the same
-    /// layout as [`BlockedKernel::pack_panels`] at double the width so one
-    /// reduction step feeds a full 512-bit vector (or two 256-bit ones).
-    fn pack_panels8(k: usize, n: usize, b: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels8_into(k, n, b, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels8`] into a reusable buffer (cleared,
-    /// zero-filled, allocation reused) — same fill order, identical
-    /// contents.
-    fn pack_panels8_into(k: usize, n: usize, b: &[f64], packed: &mut Vec<f64>) {
+    /// panels, reusing `packed`'s allocation: panel `q` holds columns
+    /// `SPW·q ..` with layout `panel[step·SPW + lane] = b[step][SPW·q +
+    /// lane]`, so one reduction step feeds a full 512-bit vector (or two
+    /// 256-bit ones). The final panel may be narrower than `SPW`; every
+    /// panel occupies `k·SPW` slots so panel addressing stays uniform.
+    fn pack_panels_into(k: usize, n: usize, b: &[f64], packed: &mut Vec<f64>) {
         let panels = n.div_ceil(SPW);
         packed.clear();
         packed.resize(panels * k * SPW, 0.0);
@@ -1896,16 +1174,11 @@ impl SimdKernel {
         }
     }
 
-    /// Packs `Bᵀ` given `bt` (`n×k` row-major); layout of
-    /// [`Self::pack_panels8`].
-    fn pack_panels8_t(k: usize, n: usize, bt: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels8_t_into(k, n, bt, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels8_t`] into a reusable buffer.
-    fn pack_panels8_t_into(k: usize, n: usize, bt: &[f64], packed: &mut Vec<f64>) {
+    /// Packs `B` given `bt` (`n×k` row-major, i.e. row `j` of `bt` is
+    /// column `j` of the logical `B`) into the layout of
+    /// [`Self::pack_panels_into`]; rows of `bt` are read contiguously, so no
+    /// transpose pass is needed.
+    fn pack_panels_t_into(k: usize, n: usize, bt: &[f64], packed: &mut Vec<f64>) {
         let panels = n.div_ceil(SPW);
         packed.clear();
         packed.resize(panels * k * SPW, 0.0);
@@ -1922,51 +1195,14 @@ impl SimdKernel {
         }
     }
 
-    /// `out += a · B` with `B` pre-packed into [`SPW`]-wide panels.
-    /// Dispatches to the widest vector unit detected; all three
-    /// instantiations accumulate each output element in ascending `k`
-    /// order in one register chain, so their bits agree.
-    ///
-    /// `ST_SIMD_FORCE=avx2|scalar` caps the dispatch below the detected
-    /// width (never above it) so the narrower instantiations can be
-    /// exercised — and their bit-identity CI-tested — on a wider host.
-    fn packed_gemm(m: usize, k: usize, n: usize, a: &[f64], packed: &[f64], out: &mut [f64]) {
-        Self::packed_gemm_opt(m, k, n, a, packed, None, false, out);
-    }
-
-    /// [`Self::packed_gemm`] with the fused bias epilogue: `bias[j]` is
-    /// appended to each output element's accumulation chain at its single
-    /// write-back — the bits of a separate `add_bias_rows` pass.
-    fn packed_gemm_bias(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), false, out);
-    }
-
-    /// [`Self::packed_gemm_bias`] with the fused ReLU epilogue appended
-    /// after the bias: each element is clamped at zero with the
-    /// [`relu_rows`] comparison (`< 0` blend, not a `max`) at its single
-    /// write-back — the bits of a separate ReLU pass.
-    fn packed_gemm_bias_relu(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), true, out);
-    }
-
+    /// The packed core: `out += a · B` with `B` packed by
+    /// [`Self::pack_panels_into`], then `+ bias[j]` and the [`relu_rows`]
+    /// clamp (a `< 0` blend, not a `max`) when requested, each appended to
+    /// the element's accumulation chain at its single write-back — the
+    /// bits of separate bias and ReLU passes. Runs the widest
+    /// instantiation the CPU offers.
     #[allow(clippy::too_many_arguments)]
-    fn packed_gemm_opt(
+    fn packed_gemm(
         m: usize,
         k: usize,
         n: usize,
@@ -1976,21 +1212,49 @@ impl SimdKernel {
         relu: bool,
         out: &mut [f64],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let cap = simd_width_cap();
-            if cap >= 512 && std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: avx512f was just detected at runtime.
-                unsafe { Self::packed_gemm_avx512(m, k, n, a, packed, bias, relu, out) };
-                return;
+        Self::packed_gemm_on(Isa::detect(), m, k, n, a, packed, bias, relu, out);
+    }
+
+    /// [`Self::packed_gemm`] on a chosen instantiation. All three
+    /// accumulate each output element in ascending `k` order in one
+    /// register chain, so their bits agree.
+    ///
+    /// # Panics
+    /// Panics when an operand is shorter than its shape needs, or when the
+    /// CPU lacks `isa`.
+    #[allow(clippy::too_many_arguments)]
+    fn packed_gemm_on(
+        isa: Isa,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        packed: &[f64],
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: &mut [f64],
+    ) {
+        assert!(a.len() >= m * k && out.len() >= m * n, "A or out too short");
+        assert!(
+            packed.len() >= n.div_ceil(SPW) * k * SPW,
+            "packed B too short"
+        );
+        assert!(bias.is_none_or(|b| b.len() >= n), "bias too short");
+        // SAFETY: the asserts above bound every pointer the vector bodies
+        // form, and each runs only after its feature check.
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => {
+                assert!(std::arch::is_x86_feature_detected!("avx512f"));
+                unsafe { Self::packed_gemm_avx512(m, k, n, a, packed, bias, relu, out) }
             }
-            if cap >= 256 && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: avx2 was just detected at runtime.
-                unsafe { Self::packed_gemm_avx2(m, k, n, a, packed, bias, relu, out) };
-                return;
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                assert!(std::arch::is_x86_feature_detected!("avx2"));
+                unsafe { Self::packed_gemm_avx2(m, k, n, a, packed, bias, relu, out) }
             }
+            Isa::Portable => Self::packed_gemm_scalar(m, k, n, a, packed, bias, relu, out),
         }
-        Self::packed_gemm_scalar(m, k, n, a, packed, bias, relu, out);
     }
 
     /// Scalar mirror of the vector paths: same panel walk, same per-element
@@ -2512,13 +1776,17 @@ impl SimdKernel {
         }
     }
 
-    /// `gemm_tn` restricted to `A` columns `c0..c1` (= output rows
-    /// `c0..c1`): the unit [`ShardedKernel`] fans out over worker threads.
+    /// The packed `gemm_tn`, restricted to `A` columns `c0..c1` (= output
+    /// rows `c0..c1`): `c0..c1 = 0..k` is the whole product, and a column
+    /// range is the unit [`ShardedKernel`] fans out over worker threads.
     /// `out` holds only the `c1 - c0` rows being computed.
     ///
-    /// Per output element the reduction runs in ascending sample blocks
-    /// and ascending rows within each block — the naive ascending-`i`
-    /// chain — so any column split produces identical bits.
+    /// The samples are processed in row blocks: each block of `Aᵀ` is
+    /// transposed (short strides, TLB-friendly), the matching `b` rows are
+    /// packed, and the packed core *accumulates* the block's contribution.
+    /// Blocks ascend in `i` and the core reduces each block in ascending
+    /// `i` — the naive ascending-`i` chain — so any column split produces
+    /// identical bits.
     #[allow(clippy::too_many_arguments)]
     fn gemm_tn_cols(
         m: usize,
@@ -2536,6 +1804,7 @@ impl SimdKernel {
             return;
         }
         let mut at_block = vec![0.0; kw * IB.min(m)];
+        let mut packed = Vec::new();
         for ib in (0..m).step_by(IB) {
             let h = IB.min(m - ib);
             // at_block[(p - c0)·h + r] = a[ib + r][p]: the block of Aᵀ
@@ -2552,15 +1821,83 @@ impl SimdKernel {
                     }
                 }
             }
-            let packed = Self::pack_panels8(h, n, &b[ib * n..(ib + h) * n]);
-            Self::packed_gemm(kw, h, n, &at_block[..kw * h], &packed, out);
+            Self::pack_panels_into(h, n, &b[ib * n..(ib + h) * n], &mut packed);
+            Self::packed_gemm(kw, h, n, &at_block[..kw * h], &packed, None, false, out);
+        }
+    }
+
+    /// Blocked's fused prepacked entry points. `Raw` handles — blocked
+    /// packs them only below [`SMALL_B_MAX`], though the core is exact at
+    /// any size — run the small core with the bias and clamp fused into
+    /// its single store; panel handles run the packed core.
+    #[allow(clippy::too_many_arguments)]
+    fn prepacked_affine(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        relu: bool,
+        out: &mut [f64],
+    ) {
+        if !affine_prologue(m, k, n, a, pb, bias, relu, out) {
+            return;
+        }
+        let (packed, bias) = (&pb.data, Some(bias));
+        match pb.layout {
+            PackLayout::Raw => Self::small_gemm(m, k, n, a, (k, 1), packed, bias, relu, out),
+            PackLayout::Panels => Self::packed_gemm(m, k, n, a, packed, bias, relu, out),
+        }
+    }
+
+    /// Register-tiled axpy fallback for row counts too small to amortize
+    /// packing: tiles `k` ([`KC`]) and the output columns ([`NC`]), and
+    /// micro-tiles the reduction four steps at a time so each output
+    /// element is loaded once per 4 products. Adds stay in ascending `k`
+    /// order.
+    fn axpy_gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        for jc in (0..n).step_by(NC) {
+            let w = NC.min(n - jc);
+            for kc in (0..k).step_by(KC) {
+                let kw = KC.min(k - kc);
+                for i in 0..m {
+                    let out_row = &mut out[i * n + jc..i * n + jc + w];
+                    let a_seg = &a[i * k + kc..i * k + kc + kw];
+                    let mut p = 0;
+                    while p + 4 <= kw {
+                        let (x0, x1, x2, x3) = (a_seg[p], a_seg[p + 1], a_seg[p + 2], a_seg[p + 3]);
+                        let b0 = &b[(kc + p) * n + jc..(kc + p) * n + jc + w];
+                        let b1 = &b[(kc + p + 1) * n + jc..(kc + p + 1) * n + jc + w];
+                        let b2 = &b[(kc + p + 2) * n + jc..(kc + p + 2) * n + jc + w];
+                        let b3 = &b[(kc + p + 3) * n + jc..(kc + p + 3) * n + jc + w];
+                        for j in 0..w {
+                            let mut o = out_row[j];
+                            o += x0 * b0[j];
+                            o += x1 * b1[j];
+                            o += x2 * b2[j];
+                            o += x3 * b3[j];
+                            out_row[j] = o;
+                        }
+                        p += 4;
+                    }
+                    while p < kw {
+                        let x = a_seg[p];
+                        let brow = &b[(kc + p) * n + jc..(kc + p) * n + jc + w];
+                        for (o, &bv) in out_row.iter_mut().zip(brow) {
+                            *o += x * bv;
+                        }
+                        p += 1;
+                    }
+                }
+            }
         }
     }
 }
 
-impl GemmBackend for SimdKernel {
+impl GemmBackend for BlockedKernel {
     fn name(&self) -> &'static str {
-        "simd"
+        "blocked"
     }
 
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
@@ -2570,14 +1907,17 @@ impl GemmBackend for SimdKernel {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
-        if m < PACK_MIN_ROWS {
-            // Packing never amortizes on a handful of rows; the blocked
-            // axpy fallback is bit-identical (ascending-k everywhere).
-            BlockedKernel::axpy_gemm(m, k, n, a, b, out);
+        if Self::is_small(k, n) {
+            Self::small_gemm(m, k, n, a, (k, 1), b, None, false, out);
             return;
         }
-        let packed = Self::pack_panels8(k, n, b);
-        Self::packed_gemm(m, k, n, a, &packed, out);
+        if m < PACK_MIN_ROWS {
+            Self::axpy_gemm(m, k, n, a, b, out);
+            return;
+        }
+        let mut packed = Vec::new();
+        Self::pack_panels_into(k, n, b, &mut packed);
+        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
     }
 
     fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
@@ -2587,111 +1927,167 @@ impl GemmBackend for SimdKernel {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
-        let packed = Self::pack_panels8_t(k, n, bt);
-        Self::packed_gemm(m, k, n, a, &packed, out);
+        if Self::is_small(k, n) {
+            // A small `Bᵀ` is transposed into a stack tile: `B` row-major,
+            // as the core reads it, without touching the heap.
+            let mut tile = [MaybeUninit::<f64>::uninit(); SMALL_B_MAX];
+            for (j, col) in bt[..n * k].chunks_exact(k).enumerate() {
+                for (p, &x) in col.iter().enumerate() {
+                    tile[p * n + j].write(x);
+                }
+            }
+            // SAFETY: the loops above wrote all `k·n` leading slots: the
+            // slice of `bt` (which panics if it is short) holds exactly `n`
+            // columns of `k`.
+            let b = unsafe { std::slice::from_raw_parts(tile.as_ptr().cast::<f64>(), k * n) };
+            Self::small_gemm(m, k, n, a, (k, 1), b, None, false, out);
+            return;
+        }
+        let mut packed = Vec::new();
+        Self::pack_panels_t_into(k, n, bt, &mut packed);
+        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), m * n);
         debug_assert_eq!(out.len(), k * n);
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        if Self::is_small(m, n) {
+            // `Aᵀ(p, i) = a[i·k + p]`: the core reads it in place.
+            Self::small_gemm(k, m, n, a, (1, k), b, None, false, out);
+            return;
+        }
         Self::gemm_tn_cols(m, k, n, 0, k, a, b, out);
     }
 
-    fn gemm_batched(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        b: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("B", b.len(), batch);
-        if batch == 0 || m == 0 || k == 0 || n == 0 {
-            return;
+    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), rows * cols);
+        debug_assert_eq!(v.len(), cols);
+        debug_assert_eq!(out.len(), rows);
+        // Row pairs share the streamed v loads; per-row accumulation stays
+        // ascending-k, so bits match the naive dot.
+        let mut r = 0;
+        while r + 2 <= rows {
+            let row0 = &a[r * cols..(r + 1) * cols];
+            let row1 = &a[(r + 1) * cols..(r + 2) * cols];
+            let mut acc0 = 0.0;
+            let mut acc1 = 0.0;
+            for (p, &vv) in v.iter().enumerate() {
+                acc0 += row0[p] * vv;
+                acc1 += row1[p] * vv;
+            }
+            out[r] = acc0;
+            out[r + 1] = acc1;
+            r += 2;
         }
-        // One panel buffer serves the whole batch: packed once when `B`
-        // is shared, re-packed in place (allocation reused, no per-call
-        // `Vec`) when each product brings its own. The packed core is
-        // bit-identical to the small-`m` axpy fallback the single-call
-        // `gemm` would take, so routing every product through it keeps
-        // the sequential-loop bits while letting tiny products share the
-        // pack that a lone call could not amortize.
-        let mut packed = Vec::new();
-        if b.len() == 1 {
-            Self::pack_panels8_into(k, n, b[0], &mut packed);
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
+        if r < rows {
+            let row = &a[r * cols..(r + 1) * cols];
+            let mut acc = 0.0;
+            for (&x, &y) in row.iter().zip(v) {
+                acc += x * y;
             }
-        } else {
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::pack_panels8_into(k, n, b[i], &mut packed);
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
-            }
+            out[r] = acc;
         }
     }
 
-    fn gemm_batched_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        bt: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("Bᵀ", bt.len(), batch);
-        if batch == 0 || m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let mut packed = Vec::new();
-        if bt.len() == 1 {
-            Self::pack_panels8_t_into(k, n, bt[0], &mut packed);
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
+    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), rows * cols);
+        debug_assert_eq!(v.len(), rows);
+        debug_assert_eq!(out.len(), cols);
+        let mut r = 0;
+        while r + 2 <= rows {
+            let (v0, v1) = (v[r], v[r + 1]);
+            let row0 = &a[r * cols..(r + 1) * cols];
+            let row1 = &a[(r + 1) * cols..(r + 2) * cols];
+            for (c, o) in out.iter_mut().enumerate() {
+                let mut acc = *o;
+                acc += v0 * row0[c];
+                acc += v1 * row1[c];
+                *o = acc;
             }
-        } else {
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::pack_panels8_t_into(k, n, bt[i], &mut packed);
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
+            r += 2;
+        }
+        if r < rows {
+            let vr = v[r];
+            let row = &a[r * cols..(r + 1) * cols];
+            for (o, &x) in out.iter_mut().zip(row) {
+                *o += vr * x;
             }
         }
     }
 
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
         debug_assert_eq!(b.len(), k * n);
-        dst.layout = PackLayout::Panels8;
+        if Self::is_small(k, n) {
+            // The small core reads `B` row-major: the pack is a copy.
+            raw_pack_b_into(k, n, b, dst);
+            return;
+        }
+        dst.layout = PackLayout::Panels;
         dst.k = k;
         dst.n = n;
-        Self::pack_panels8_into(k, n, b, &mut dst.data);
+        Self::pack_panels_into(k, n, b, &mut dst.data);
     }
 
     fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
         debug_assert_eq!(bt.len(), n * k);
-        dst.layout = PackLayout::Panels8;
+        if Self::is_small(k, n) {
+            raw_pack_b_t_into(self, k, n, bt, dst);
+            return;
+        }
+        dst.layout = PackLayout::Panels;
         dst.k = k;
         dst.n = n;
-        Self::pack_panels8_t_into(k, n, bt, &mut dst.data);
+        Self::pack_panels_t_into(k, n, bt, &mut dst.data);
     }
 
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        // A dot product vectorized across `k` would need partial-sum lanes
-        // (a reassociation); the paired-row scalar walk is the fastest
-        // schedule that keeps the naive chain. Shared with `blocked`.
-        BlockedKernel.matvec(rows, cols, a, v, out);
+    fn gemm_prepacked_bias(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        out: &mut [f64],
+    ) {
+        Self::prepacked_affine(m, k, n, a, pb, bias, false, out);
     }
 
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        BlockedKernel.matvec_t(rows, cols, a, v, out);
+    fn gemm_prepacked_bias_relu(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        out: &mut [f64],
+    ) {
+        Self::prepacked_affine(m, k, n, a, pb, bias, true, out);
     }
 
     fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
-        BlockedKernel.transpose(rows, cols, a, out);
+        debug_assert_eq!(a.len(), rows * cols);
+        debug_assert_eq!(out.len(), rows * cols);
+        // Blocked swap: both the strided reads and the strided writes stay
+        // inside a TB×TB tile that fits L1, instead of walking a whole
+        // column per output row.
+        for rb in (0..rows).step_by(TB) {
+            let rh = TB.min(rows - rb);
+            for cb in (0..cols).step_by(TB) {
+                let cw = TB.min(cols - cb);
+                for r in rb..rb + rh {
+                    let row = &a[r * cols + cb..r * cols + cb + cw];
+                    for (dc, &x) in row.iter().enumerate() {
+                        out[(cb + dc) * rows + r] = x;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -2754,15 +2150,27 @@ fn shard_ranges(total: usize, workers: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// The multi-core backend: partitions output rows across a scoped worker
-/// pool and runs the [`SimdKernel`] packed core on each shard.
+/// Product `s..e`'s share of a batched operand list: a length-1 list is
+/// the broadcast operand every shard reuses, any other list is sliced.
+fn batched_shard<'l, 'a, T: ?Sized>(xs: &'l [&'a T], s: usize, e: usize) -> &'l [&'a T] {
+    if xs.len() == 1 {
+        xs
+    } else {
+        &xs[s..e]
+    }
+}
+
+/// The multi-core backend: partitions output rows (or, for batched calls,
+/// whole products) across a scoped worker pool and runs [`BlockedKernel`]
+/// on each shard.
 ///
 /// Every output element is computed by exactly one worker with exactly the
 /// ascending-`k` chain of [`NaiveKernel`], so results are bit-identical at
 /// **any** thread count — sharding changes who computes an element, never
 /// how. Small products (under [`SHARD_MIN_WORK`] multiplies) run inline on
-/// the calling thread; the worker count comes from [`kernel_threads`]
-/// unless pinned per-instance via [`ShardedKernel::with_threads`].
+/// the calling thread as plain [`BlockedKernel`] calls; the worker count
+/// comes from [`kernel_threads`] unless pinned per-instance via
+/// [`ShardedKernel::with_threads`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ShardedKernel {
     threads: Option<usize>,
@@ -2787,10 +2195,67 @@ impl ShardedKernel {
         self.threads.unwrap_or_else(kernel_threads)
     }
 
-    /// True when the product is too small (or the budget too narrow) to
-    /// pay a fan-out; such calls run inline via [`SimdKernel`].
+    /// True when a call of `work` multiplies over `rows` shardable rows (or
+    /// products) is too small, or the budget too narrow, to pay a fan-out;
+    /// such calls run inline via [`BlockedKernel`].
     fn run_inline(&self, rows: usize, work: usize) -> bool {
         self.threads() <= 1 || rows < 2 || work < SHARD_MIN_WORK
+    }
+
+    /// Splits `items` — `groups` contiguous runs of `stride` items each
+    /// (output rows of `stride` columns, or one batched product per item)
+    /// — into one contiguous shard per worker, and runs `f(s, e, shard)`
+    /// on each, where `s..e` are the shard's group indices. Each worker
+    /// owns a disjoint slice of `items`.
+    fn fan_out<T: Send>(
+        &self,
+        groups: usize,
+        stride: usize,
+        items: &mut [T],
+        f: impl Fn(usize, usize, &mut [T]) + Sync,
+    ) {
+        let f = &f;
+        crossbeam::scope(|scope| {
+            let mut rest = items;
+            for (s, e) in shard_ranges(groups, self.threads()) {
+                let (shard, tail) = rest.split_at_mut((e - s) * stride);
+                rest = tail;
+                scope.spawn(move |_| f(s, e, shard));
+            }
+        })
+        .expect("sharded kernel worker panicked");
+    }
+
+    /// The prepacked entry points: `bias` and `relu` select the plain,
+    /// fused-bias or fused bias+ReLU product, and each row shard runs the
+    /// matching [`BlockedKernel`] entry point on the shared handle (the
+    /// epilogues are per element, so the split is invisible to the bits).
+    #[allow(clippy::too_many_arguments)]
+    fn prepacked(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: Option<&[f64]>,
+        relu: bool,
+        out: &mut [f64],
+    ) {
+        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
+        assert!(bias.is_none_or(|b| b.len() == n), "bias length mismatch");
+        let run = |rows: usize, a: &[f64], out: &mut [f64]| match bias {
+            None => BlockedKernel.gemm_prepacked(rows, k, n, a, pb, out),
+            Some(bias) if relu => {
+                BlockedKernel.gemm_prepacked_bias_relu(rows, k, n, a, pb, bias, out)
+            }
+            Some(bias) => BlockedKernel.gemm_prepacked_bias(rows, k, n, a, pb, bias, out),
+        };
+        if self.run_inline(m, m * k * n) {
+            run(m, a, out);
+        } else {
+            self.fan_out(m, n, out, |s, e, shard| run(e - s, &a[s * k..e * k], shard));
+        }
     }
 }
 
@@ -2803,63 +2268,31 @@ impl GemmBackend for ShardedKernel {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
         if self.run_inline(m, m * k * n) || m < PACK_MIN_ROWS {
-            SimdKernel.gemm(m, k, n, a, b, out);
+            BlockedKernel.gemm(m, k, n, a, b, out);
             return;
         }
-        // Pack once, then fan output-row shards over the pool; each worker
-        // owns a disjoint slice of `out`.
-        let packed = SimdKernel::pack_panels8(k, n, b);
-        let packed = &packed;
-        crossbeam::scope(|scope| {
-            let mut rest = out;
-            for (s, e) in shard_ranges(m, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                rest = tail;
-                let a_rows = &a[s * k..e * k];
-                scope.spawn(move |_| SimdKernel::packed_gemm(e - s, k, n, a_rows, packed, chunk));
-            }
-        })
-        .expect("sharded gemm worker panicked");
+        // Pack once, then fan output-row shards over the pool.
+        self.gemm_prepacked(m, k, n, a, &BlockedKernel.pack_b(k, n, b), out);
     }
 
     fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(bt.len(), n * k);
         debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
         if self.run_inline(m, m * k * n) {
-            SimdKernel.gemm_nt(m, k, n, a, bt, out);
+            BlockedKernel.gemm_nt(m, k, n, a, bt, out);
             return;
         }
-        let packed = SimdKernel::pack_panels8_t(k, n, bt);
-        let packed = &packed;
-        crossbeam::scope(|scope| {
-            let mut rest = out;
-            for (s, e) in shard_ranges(m, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                rest = tail;
-                let a_rows = &a[s * k..e * k];
-                scope.spawn(move |_| SimdKernel::packed_gemm(e - s, k, n, a_rows, packed, chunk));
-            }
-        })
-        .expect("sharded gemm_nt worker panicked");
+        self.gemm_prepacked(m, k, n, a, &BlockedKernel.pack_b_t(k, n, bt), out);
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), m * n);
         debug_assert_eq!(out.len(), k * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
         if self.run_inline(k, m * k * n) {
-            SimdKernel.gemm_tn(m, k, n, a, b, out);
+            BlockedKernel.gemm_tn(m, k, n, a, b, out);
             return;
         }
         // Shard the *output* rows (= columns of A): each worker runs the
@@ -2867,25 +2300,19 @@ impl GemmBackend for ShardedKernel {
         // per-element chain is the sequential one regardless of the split.
         // Workers re-pack the shared B blocks redundantly — O(m·n) per
         // worker against the O(m·k·n/threads) product each performs.
-        crossbeam::scope(|scope| {
-            let mut rest = out;
-            for (s, e) in shard_ranges(k, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                rest = tail;
-                scope.spawn(move |_| SimdKernel::gemm_tn_cols(m, k, n, s, e, a, b, chunk));
-            }
-        })
-        .expect("sharded gemm_tn worker panicked");
+        self.fan_out(k, n, out, |s, e, shard| {
+            BlockedKernel::gemm_tn_cols(m, k, n, s, e, a, b, shard)
+        });
     }
 
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        // The per-worker core is the simd packed core, so the sharded
-        // backend shares its panel layout.
-        SimdKernel.pack_b_into(k, n, b, dst);
+        // Every shard runs a blocked core, so the sharded backend shares
+        // blocked's layouts.
+        BlockedKernel.pack_b_into(k, n, b, dst);
     }
 
     fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        SimdKernel.pack_b_t_into(k, n, bt, dst);
+        BlockedKernel.pack_b_t_into(k, n, bt, dst);
     }
 
     fn gemm_prepacked(
@@ -2897,42 +2324,7 @@ impl GemmBackend for ShardedKernel {
         pb: &PackedB,
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        match pb.layout {
-            // Pack-on-call handle: the ordinary sharded gemm packs and
-            // fans out itself.
-            PackLayout::Raw => self.gemm(m, k, n, a, &pb.data, out),
-            // Foreign panel width (only reachable by mixing backends by
-            // hand — the process kernel is fixed): run the matching core
-            // inline; bits are identical either way.
-            PackLayout::Panels4 => BlockedKernel::packed_gemm(m, k, n, a, &pb.data, out),
-            PackLayout::Panels8 => {
-                if self.run_inline(m, m * k * n) {
-                    SimdKernel::packed_gemm(m, k, n, a, &pb.data, out);
-                    return;
-                }
-                // The pack already happened — fan the output-row shards
-                // straight over the pool.
-                let packed = &pb.data;
-                crossbeam::scope(|scope| {
-                    let mut rest = out;
-                    for (s, e) in shard_ranges(m, self.threads()) {
-                        let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                        rest = tail;
-                        let a_rows = &a[s * k..e * k];
-                        scope.spawn(move |_| {
-                            SimdKernel::packed_gemm(e - s, k, n, a_rows, packed, chunk)
-                        });
-                    }
-                })
-                .expect("sharded gemm_prepacked worker panicked");
-            }
-        }
+        self.prepacked(m, k, n, a, pb, None, false, out);
     }
 
     fn gemm_prepacked_bias(
@@ -2945,46 +2337,7 @@ impl GemmBackend for ShardedKernel {
         bias: &[f64],
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            bias_rows(n, bias, out);
-            return;
-        }
-        match pb.layout {
-            PackLayout::Raw => {
-                self.gemm(m, k, n, a, &pb.data, out);
-                bias_rows(n, bias, out);
-            }
-            PackLayout::Panels4 => BlockedKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out),
-            PackLayout::Panels8 => {
-                if self.run_inline(m, m * k * n) {
-                    SimdKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out);
-                    return;
-                }
-                // Row shards own disjoint output rows; each worker runs
-                // the fused core with the full bias slice (the epilogue is
-                // per-row, so the split is invisible to the bits).
-                let packed = &pb.data;
-                crossbeam::scope(|scope| {
-                    let mut rest = out;
-                    for (s, e) in shard_ranges(m, self.threads()) {
-                        let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                        rest = tail;
-                        let a_rows = &a[s * k..e * k];
-                        scope.spawn(move |_| {
-                            SimdKernel::packed_gemm_bias(e - s, k, n, a_rows, packed, bias, chunk)
-                        });
-                    }
-                })
-                .expect("sharded gemm_prepacked_bias worker panicked");
-            }
-        }
+        self.prepacked(m, k, n, a, pb, Some(bias), false, out);
     }
 
     fn gemm_prepacked_bias_relu(
@@ -2997,59 +2350,13 @@ impl GemmBackend for ShardedKernel {
         bias: &[f64],
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            bias_rows(n, bias, out);
-            relu_rows(out);
-            return;
-        }
-        match pb.layout {
-            PackLayout::Raw => {
-                self.gemm(m, k, n, a, &pb.data, out);
-                bias_rows(n, bias, out);
-                relu_rows(out);
-            }
-            PackLayout::Panels4 => {
-                BlockedKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out)
-            }
-            PackLayout::Panels8 => {
-                if self.run_inline(m, m * k * n) {
-                    SimdKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out);
-                    return;
-                }
-                // Both epilogues are per-element and the row shards own
-                // disjoint output rows, so the fused clamp is invisible
-                // to the split exactly like the bias is.
-                let packed = &pb.data;
-                crossbeam::scope(|scope| {
-                    let mut rest = out;
-                    for (s, e) in shard_ranges(m, self.threads()) {
-                        let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                        rest = tail;
-                        let a_rows = &a[s * k..e * k];
-                        scope.spawn(move |_| {
-                            SimdKernel::packed_gemm_bias_relu(
-                                e - s,
-                                k,
-                                n,
-                                a_rows,
-                                packed,
-                                bias,
-                                chunk,
-                            )
-                        });
-                    }
-                })
-                .expect("sharded gemm_prepacked_bias_relu worker panicked");
-            }
-        }
+        self.prepacked(m, k, n, a, pb, Some(bias), true, out);
     }
+
+    // The batched entries fan whole *products* over the pool: each worker
+    // owns a contiguous run of products and runs blocked's per-product
+    // loop on it, so any worker count produces the sequential-loop bits.
+    // Batches too small to pay the spawn cost run that loop inline.
 
     fn gemm_batched(
         &self,
@@ -3063,50 +2370,20 @@ impl GemmBackend for ShardedKernel {
         let batch = outs.len();
         check_batched_len("A", a.len(), batch);
         check_batched_len("B", b.len(), batch);
-        if batch == 0 || m == 0 || k == 0 || n == 0 {
+        if self.run_inline(batch, batch * m * k * n) {
+            BlockedKernel.gemm_batched(m, k, n, a, b, outs);
             return;
         }
-        // Fan whole *products* over the pool — each worker owns a
-        // contiguous run of items and runs their complete ascending-`k`
-        // chains, so any worker count produces the sequential-loop bits.
-        // Batches too small to pay the spawn cost take the simd batched
-        // walk inline (one reused pack buffer).
-        if self.threads() <= 1 || batch < 2 || batch * m * k * n < SHARD_MIN_WORK {
-            SimdKernel.gemm_batched(m, k, n, a, b, outs);
-            return;
-        }
-        let shared_pack = (b.len() == 1).then(|| SimdKernel::pack_panels8(k, n, b[0]));
-        let shared_pack = shared_pack.as_deref();
-        crossbeam::scope(|scope| {
-            let mut rest = outs;
-            for (s, e) in shard_ranges(batch, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut(e - s);
-                rest = tail;
-                scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    for (off, out) in chunk.iter_mut().enumerate() {
-                        let i = s + off;
-                        match shared_pack {
-                            Some(p) => {
-                                SimdKernel::packed_gemm(m, k, n, batched_operand(a, i), p, out)
-                            }
-                            None => {
-                                SimdKernel::pack_panels8_into(k, n, b[i], &mut local);
-                                SimdKernel::packed_gemm(
-                                    m,
-                                    k,
-                                    n,
-                                    batched_operand(a, i),
-                                    &local,
-                                    out,
-                                );
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("sharded gemm_batched worker panicked");
+        self.fan_out(batch, 1, outs, |s, e, shard| {
+            BlockedKernel.gemm_batched(
+                m,
+                k,
+                n,
+                batched_shard(a, s, e),
+                batched_shard(b, s, e),
+                shard,
+            )
+        });
     }
 
     fn gemm_batched_prepacked_bias(
@@ -3123,51 +2400,21 @@ impl GemmBackend for ShardedKernel {
         check_batched_len("A", a.len(), batch);
         check_batched_len("packed B", pbs.len(), batch);
         check_batched_len("bias", biases.len(), batch);
-        let all_panels8 = pbs.iter().all(|pb| pb.layout == PackLayout::Panels8);
-        if !all_panels8
-            || self.threads() <= 1
-            || batch < 2
-            || k == 0
-            || batch * m * k * n < SHARD_MIN_WORK
-        {
-            // Foreign layouts and small batches: the per-product loop
-            // (which re-dispatches per handle) is the bit-identity
-            // baseline anyway.
-            for (i, out) in outs.iter_mut().enumerate() {
-                SimdKernel.gemm_prepacked_bias(
-                    m,
-                    k,
-                    n,
-                    batched_operand(a, i),
-                    batched_operand(pbs, i),
-                    batched_operand(biases, i),
-                    out,
-                );
-            }
+        if self.run_inline(batch, batch * m * k * n) {
+            BlockedKernel.gemm_batched_prepacked_bias(m, k, n, a, pbs, biases, outs);
             return;
         }
-        crossbeam::scope(|scope| {
-            let mut rest = outs;
-            for (s, e) in shard_ranges(batch, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut(e - s);
-                rest = tail;
-                scope.spawn(move |_| {
-                    for (off, out) in chunk.iter_mut().enumerate() {
-                        let i = s + off;
-                        SimdKernel::packed_gemm_bias(
-                            m,
-                            k,
-                            n,
-                            batched_operand(a, i),
-                            &batched_operand(pbs, i).data,
-                            batched_operand(biases, i),
-                            out,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("sharded gemm_batched_prepacked_bias worker panicked");
+        self.fan_out(batch, 1, outs, |s, e, shard| {
+            BlockedKernel.gemm_batched_prepacked_bias(
+                m,
+                k,
+                n,
+                batched_shard(a, s, e),
+                batched_shard(pbs, s, e),
+                batched_shard(biases, s, e),
+                shard,
+            )
+        });
     }
 
     fn gemm_batched_prepacked_bias_relu(
@@ -3184,343 +2431,25 @@ impl GemmBackend for ShardedKernel {
         check_batched_len("A", a.len(), batch);
         check_batched_len("packed B", pbs.len(), batch);
         check_batched_len("bias", biases.len(), batch);
-        let all_panels8 = pbs.iter().all(|pb| pb.layout == PackLayout::Panels8);
-        if !all_panels8
-            || self.threads() <= 1
-            || batch < 2
-            || k == 0
-            || batch * m * k * n < SHARD_MIN_WORK
-        {
-            for (i, out) in outs.iter_mut().enumerate() {
-                SimdKernel.gemm_prepacked_bias_relu(
-                    m,
-                    k,
-                    n,
-                    batched_operand(a, i),
-                    batched_operand(pbs, i),
-                    batched_operand(biases, i),
-                    out,
-                );
-            }
+        if self.run_inline(batch, batch * m * k * n) {
+            BlockedKernel.gemm_batched_prepacked_bias_relu(m, k, n, a, pbs, biases, outs);
             return;
         }
-        crossbeam::scope(|scope| {
-            let mut rest = outs;
-            for (s, e) in shard_ranges(batch, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut(e - s);
-                rest = tail;
-                scope.spawn(move |_| {
-                    for (off, out) in chunk.iter_mut().enumerate() {
-                        let i = s + off;
-                        SimdKernel::packed_gemm_bias_relu(
-                            m,
-                            k,
-                            n,
-                            batched_operand(a, i),
-                            &batched_operand(pbs, i).data,
-                            batched_operand(biases, i),
-                            out,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("sharded gemm_batched_prepacked_bias_relu worker panicked");
+        self.fan_out(batch, 1, outs, |s, e, shard| {
+            BlockedKernel.gemm_batched_prepacked_bias_relu(
+                m,
+                k,
+                n,
+                batched_shard(a, s, e),
+                batched_shard(pbs, s, e),
+                batched_shard(biases, s, e),
+                shard,
+            )
+        });
     }
 
     fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        // Memory-bound; a fan-out buys nothing. Inline simd schedule.
-        SimdKernel.matvec(rows, cols, a, v, out);
-    }
-
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        SimdKernel.matvec_t(rows, cols, a, v, out);
-    }
-
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
-        SimdKernel.transpose(rows, cols, a, out);
-    }
-}
-
-/// The opt-in reassociating backend: FMA contraction and reassociated
-/// reductions for callers that **waive the bit-determinism contract**.
-///
-/// `fast` is never selected by default, and the deterministic trial path
-/// refuses to run under it unless explicitly allowed
-/// (`--allow-nondeterministic-kernel`). Results are correct to normal
-/// floating-point accuracy — typically *more* accurate than the plain
-/// kernels thanks to fused rounding — but not reproducible bit-for-bit
-/// against the other backends.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FastKernel;
-
-impl FastKernel {
-    /// `out += a · B` on packed panels with FMA where available. Falls back
-    /// to the strict SIMD core on targets without FMA (the waiver permits
-    /// reassociation, it does not require it).
-    fn packed_gemm_fast(m: usize, k: usize, n: usize, a: &[f64], packed: &[f64], out: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: avx2 and fma were just detected at runtime.
-            unsafe { Self::packed_gemm_fma(m, k, n, a, packed, out) };
-            return;
-        }
-        SimdKernel::packed_gemm(m, k, n, a, packed, out);
-    }
-
-    /// FMA instantiation of the packed core: the same blocking driver as
-    /// [`SimdKernel::packed_gemm_avx2`] — the two must stay in lockstep
-    /// (same tiles, same [`SIMD_PANEL_BLOCK_BYTES`] L2 budget); only the
-    /// micro-kernels differ, with every multiply/add pair contracted to
-    /// one fused op.
-    ///
-    /// # Safety
-    /// The caller must ensure the CPU supports AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn packed_gemm_fma(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        out: &mut [f64],
-    ) {
-        let panels = n.div_ceil(SPW);
-        let panel_len = k * SPW;
-        let block = (SIMD_PANEL_BLOCK_BYTES / (panel_len * 8).max(1)).max(1);
-        for qb in (0..panels).step_by(block) {
-            let qe = (qb + block).min(panels);
-            let mut i = 0;
-            while i + 4 <= m {
-                for q in qb..qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk4x8_fma(
-                            k,
-                            a.as_ptr().add(i * k),
-                            k,
-                            panel.as_ptr(),
-                            out.as_mut_ptr().add(i * n + j0),
-                            n,
-                        );
-                    } else {
-                        for r in i..i + 4 {
-                            let w = n - j0;
-                            SimdKernel::panel_row_scalar(
-                                w,
-                                &a[r * k..(r + 1) * k],
-                                panel,
-                                None,
-                                false,
-                                &mut out[r * n + j0..r * n + j0 + w],
-                            );
-                        }
-                    }
-                }
-                i += 4;
-            }
-            while i < m {
-                for q in qb..qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk1x8_fma(
-                            k,
-                            a.as_ptr().add(i * k),
-                            panel.as_ptr(),
-                            out.as_mut_ptr().add(i * n + j0),
-                        );
-                    } else {
-                        let w = n - j0;
-                        SimdKernel::panel_row_scalar(
-                            w,
-                            &a[i * k..(i + 1) * k],
-                            panel,
-                            None,
-                            false,
-                            &mut out[i * n + j0..i * n + j0 + w],
-                        );
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-
-    /// 4-row × 8-column FMA micro-kernel (contracted twin of
-    /// [`SimdKernel::mk4x8_avx2`]).
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; same layout contract as
-    /// [`SimdKernel::mk4x8_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn mk4x8_fma(
-        k: usize,
-        a: *const f64,
-        lda: usize,
-        panel: *const f64,
-        out: *mut f64,
-        ldo: usize,
-    ) {
-        use std::arch::x86_64::*;
-        let mut acc00 = _mm256_loadu_pd(out);
-        let mut acc01 = _mm256_loadu_pd(out.add(4));
-        let mut acc10 = _mm256_loadu_pd(out.add(ldo));
-        let mut acc11 = _mm256_loadu_pd(out.add(ldo + 4));
-        let mut acc20 = _mm256_loadu_pd(out.add(2 * ldo));
-        let mut acc21 = _mm256_loadu_pd(out.add(2 * ldo + 4));
-        let mut acc30 = _mm256_loadu_pd(out.add(3 * ldo));
-        let mut acc31 = _mm256_loadu_pd(out.add(3 * ldo + 4));
-        for p in 0..k {
-            let b0 = _mm256_loadu_pd(panel.add(p * SPW));
-            let b1 = _mm256_loadu_pd(panel.add(p * SPW + 4));
-            let a0 = _mm256_set1_pd(*a.add(p));
-            acc00 = _mm256_fmadd_pd(a0, b0, acc00);
-            acc01 = _mm256_fmadd_pd(a0, b1, acc01);
-            let a1 = _mm256_set1_pd(*a.add(lda + p));
-            acc10 = _mm256_fmadd_pd(a1, b0, acc10);
-            acc11 = _mm256_fmadd_pd(a1, b1, acc11);
-            let a2 = _mm256_set1_pd(*a.add(2 * lda + p));
-            acc20 = _mm256_fmadd_pd(a2, b0, acc20);
-            acc21 = _mm256_fmadd_pd(a2, b1, acc21);
-            let a3 = _mm256_set1_pd(*a.add(3 * lda + p));
-            acc30 = _mm256_fmadd_pd(a3, b0, acc30);
-            acc31 = _mm256_fmadd_pd(a3, b1, acc31);
-        }
-        _mm256_storeu_pd(out, acc00);
-        _mm256_storeu_pd(out.add(4), acc01);
-        _mm256_storeu_pd(out.add(ldo), acc10);
-        _mm256_storeu_pd(out.add(ldo + 4), acc11);
-        _mm256_storeu_pd(out.add(2 * ldo), acc20);
-        _mm256_storeu_pd(out.add(2 * ldo + 4), acc21);
-        _mm256_storeu_pd(out.add(3 * ldo), acc30);
-        _mm256_storeu_pd(out.add(3 * ldo + 4), acc31);
-    }
-
-    /// Single-row FMA micro-kernel.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; same layout contract as
-    /// [`SimdKernel::mk1x8_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn mk1x8_fma(k: usize, a: *const f64, panel: *const f64, out: *mut f64) {
-        use std::arch::x86_64::*;
-        let mut acc0 = _mm256_loadu_pd(out);
-        let mut acc1 = _mm256_loadu_pd(out.add(4));
-        for p in 0..k {
-            let av = _mm256_set1_pd(*a.add(p));
-            acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(panel.add(p * SPW)), acc0);
-            acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(panel.add(p * SPW + 4)), acc1);
-        }
-        _mm256_storeu_pd(out, acc0);
-        _mm256_storeu_pd(out.add(4), acc1);
-    }
-
-    /// Reassociated row dot: four independent FMA lanes over `k`, reduced
-    /// horizontally at the end (the partial-sum tree the strict kernels
-    /// must not use).
-    ///
-    /// # Safety
-    /// The caller must ensure the CPU supports AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn matvec_fma(rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(a.len(), rows * cols);
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = a.as_ptr().add(r * cols);
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut p = 0;
-            while p + 8 <= cols {
-                acc0 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(row.add(p)),
-                    _mm256_loadu_pd(v.as_ptr().add(p)),
-                    acc0,
-                );
-                acc1 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(row.add(p + 4)),
-                    _mm256_loadu_pd(v.as_ptr().add(p + 4)),
-                    acc1,
-                );
-                p += 8;
-            }
-            let sum = _mm256_add_pd(acc0, acc1);
-            let mut lanes = [0.0; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), sum);
-            let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-            while p < cols {
-                acc = (*row.add(p)).mul_add(v[p], acc);
-                p += 1;
-            }
-            *o = acc;
-        }
-    }
-}
-
-impl GemmBackend for FastKernel {
-    fn name(&self) -> &'static str {
-        "fast"
-    }
-
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if m < PACK_MIN_ROWS {
-            BlockedKernel::axpy_gemm(m, k, n, a, b, out);
-            return;
-        }
-        let packed = SimdKernel::pack_panels8(k, n, b);
-        Self::packed_gemm_fast(m, k, n, a, &packed, out);
-    }
-
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(bt.len(), n * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let packed = SimdKernel::pack_panels8_t(k, n, bt);
-        Self::packed_gemm_fast(m, k, n, a, &packed, out);
-    }
-
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), m * n);
-        debug_assert_eq!(out.len(), k * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let mut at_block = vec![0.0; k * IB.min(m)];
-        for ib in (0..m).step_by(IB) {
-            let h = IB.min(m - ib);
-            BlockedKernel.transpose(h, k, &a[ib * k..(ib + h) * k], &mut at_block[..k * h]);
-            let packed = SimdKernel::pack_panels8(h, n, &b[ib * n..(ib + h) * n]);
-            Self::packed_gemm_fast(k, h, n, &at_block[..k * h], &packed, out);
-        }
-    }
-
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), cols);
-        debug_assert_eq!(out.len(), rows);
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: avx2 and fma were just detected at runtime.
-            unsafe { Self::matvec_fma(rows, cols, a, v, out) };
-            return;
-        }
+        // Memory-bound; a fan-out buys nothing.
         BlockedKernel.matvec(rows, cols, a, v, out);
     }
 
@@ -3540,25 +2469,14 @@ pub enum KernelKind {
     Naive,
     /// The cache-blocked kernel (default).
     Blocked,
-    /// Explicit AVX2/AVX-512 intrinsics, bit-identical to naive.
-    Simd,
-    /// Multi-core row sharding over the SIMD core, bit-identical at any
+    /// Multi-core row sharding over the blocked cores, bit-identical at any
     /// thread count.
     Sharded,
-    /// Opt-in reassociating FMA kernel — **waives** the bit-determinism
-    /// contract; the deterministic trial path refuses it.
-    Fast,
 }
 
 impl KernelKind {
     /// Every selectable backend, in the order help strings list them.
-    pub const ALL: [KernelKind; 5] = [
-        KernelKind::Naive,
-        KernelKind::Blocked,
-        KernelKind::Simd,
-        KernelKind::Sharded,
-        KernelKind::Fast,
-    ];
+    pub const ALL: [KernelKind; 3] = [KernelKind::Naive, KernelKind::Blocked, KernelKind::Sharded];
 
     /// Parses a kernel name as accepted by `ST_KERNEL` and `--kernel`.
     pub fn from_name(name: &str) -> Option<KernelKind> {
@@ -3571,9 +2489,7 @@ impl KernelKind {
         match self {
             KernelKind::Naive => "naive",
             KernelKind::Blocked => "blocked",
-            KernelKind::Simd => "simd",
             KernelKind::Sharded => "sharded",
-            KernelKind::Fast => "fast",
         }
     }
 
@@ -3583,40 +2499,15 @@ impl KernelKind {
         match self {
             KernelKind::Naive => &NaiveKernel,
             KernelKind::Blocked => &BlockedKernel,
-            KernelKind::Simd => &SimdKernel,
             KernelKind::Sharded => &SHARDED,
-            KernelKind::Fast => &FastKernel,
         }
     }
-
-    /// Whether this backend honors the bit-identity contract (every
-    /// output bit equal to [`NaiveKernel`]'s). Only [`KernelKind::Fast`]
-    /// waives it; determinism-sensitive paths (the trial runner) refuse
-    /// non-deterministic kinds unless the caller explicitly opts in.
-    pub fn bit_deterministic(self) -> bool {
-        !matches!(self, KernelKind::Fast)
-    }
 }
 
-/// The comma-separated list of valid kernel names, for error messages and
-/// usage strings (`"naive | blocked | simd | sharded | fast"`).
+/// The list of valid kernel names, for error messages and usage strings
+/// (`"naive | blocked | sharded"`).
 pub fn kernel_names() -> String {
     KernelKind::ALL.map(KernelKind::name).join(" | ")
-}
-
-/// The list of valid `ST_SIMD_FORCE` values, for the unknown-value warning
-/// and usage strings — the `kernel_names()` of the SIMD width cap.
-pub fn simd_force_names() -> &'static str {
-    "avx2 | scalar"
-}
-
-/// True when `ST_PREPACK=1`: the model stack routes even its single-use
-/// forward products through the prepacked API (pack-on-call), so one CI
-/// run exercises every prepacked code path across the whole suite.
-/// Bit-identical by the prepacked contract; read once per process.
-pub fn prepack_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("ST_PREPACK").as_deref() == Ok("1"))
 }
 
 static ACTIVE_KERNEL: OnceLock<KernelKind> = OnceLock::new();
@@ -3682,11 +2573,19 @@ mod tests {
 
     #[test]
     fn blocked_gemm_matches_naive_bitwise() {
+        // Both cores: the small core up to a `B` of `SMALL_B_MAX`
+        // elements, then (from (1, 2049, 1) on) the axpy path for
+        // m < PACK_MIN_ROWS and the packed core with row and column
+        // remainders.
         for &(m, k, n) in &[
             (1, 1, 1),
             (2, 3, 4),
             (7, 5, 3),
             (17, 13, 11),
+            (1, 2049, 1),
+            (4, 64, 33),
+            (5, 64, 33),
+            (9, 65, 37),
             (64, 64, 64),
             (65, 67, 66),
             (130, 70, 150),
@@ -3703,20 +2602,25 @@ mod tests {
 
     #[test]
     fn blocked_nt_tn_match_naive_bitwise() {
-        let (m, k, n) = (19, 23, 17);
-        let a = fill(m * k, 3);
-        let bt = fill(n * k, 4);
-        let b = fill(m * n, 5);
-        let mut x = vec![0.0; m * n];
-        let mut y = vec![0.0; m * n];
-        NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut x);
-        BlockedKernel.gemm_nt(m, k, n, &a, &bt, &mut y);
-        assert_bits_eq(&x, &y);
-        let mut u = vec![0.0; k * n];
-        let mut v = vec![0.0; k * n];
-        NaiveKernel.gemm_tn(m, k, n, &a, &b, &mut u);
-        BlockedKernel.gemm_tn(m, k, n, &a, &b, &mut v);
-        assert_bits_eq(&u, &v);
+        // (19, 23, 17) runs both on the small core; (19, 67, 37) puts
+        // gemm_nt's `B` (k·n) above the cutoff and (67, 19, 37) gemm_tn's
+        // (m·n); (130, 70, 150) puts both there and spans two of gemm_tn's
+        // sample blocks.
+        for &(m, k, n) in &[(19, 23, 17), (19, 67, 37), (67, 19, 37), (130, 70, 150)] {
+            let a = fill(m * k, 3);
+            let bt = fill(n * k, 4);
+            let b = fill(m * n, 5);
+            let mut x = vec![0.0; m * n];
+            let mut y = vec![0.0; m * n];
+            NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut x);
+            BlockedKernel.gemm_nt(m, k, n, &a, &bt, &mut y);
+            assert_bits_eq(&x, &y);
+            let mut u = vec![0.0; k * n];
+            let mut v = vec![0.0; k * n];
+            NaiveKernel.gemm_tn(m, k, n, &a, &b, &mut u);
+            BlockedKernel.gemm_tn(m, k, n, &a, &b, &mut v);
+            assert_bits_eq(&u, &v);
+        }
     }
 
     #[test]
@@ -3801,14 +2705,10 @@ mod tests {
             Some(KernelKind::Blocked)
         );
         assert_eq!(KernelKind::from_name("mkl"), None);
-        assert!(kernel_names().contains("sharded"));
-    }
-
-    #[test]
-    fn only_fast_waives_bit_determinism() {
-        for kind in KernelKind::ALL {
-            assert_eq!(kind.bit_deterministic(), kind != KernelKind::Fast);
-        }
+        // Removed backend names are not aliases of a remaining one.
+        assert_eq!(KernelKind::from_name("simd"), None);
+        assert_eq!(KernelKind::from_name("fast"), None);
+        assert_eq!(kernel_names(), "naive | blocked | sharded");
     }
 
     #[test]
@@ -3820,45 +2720,6 @@ mod tests {
             _ => KernelKind::Naive,
         };
         assert_eq!(set_kernel(other), Err(active));
-    }
-
-    #[test]
-    fn simd_gemm_matches_naive_bitwise() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (2, 3, 4),
-            (7, 5, 3),
-            (17, 13, 11),
-            (64, 64, 64),
-            (65, 67, 66),
-            (130, 70, 150),
-        ] {
-            let a = fill(m * k, 21 + m as u64);
-            let b = fill(k * n, 22 + n as u64);
-            let mut on = vec![0.0; m * n];
-            let mut os = vec![0.0; m * n];
-            NaiveKernel.gemm(m, k, n, &a, &b, &mut on);
-            SimdKernel.gemm(m, k, n, &a, &b, &mut os);
-            assert_bits_eq(&on, &os);
-        }
-    }
-
-    #[test]
-    fn simd_nt_tn_match_naive_bitwise() {
-        let (m, k, n) = (19, 23, 17);
-        let a = fill(m * k, 31);
-        let bt = fill(n * k, 32);
-        let b = fill(m * n, 33);
-        let mut x = vec![0.0; m * n];
-        let mut y = vec![0.0; m * n];
-        NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut x);
-        SimdKernel.gemm_nt(m, k, n, &a, &bt, &mut y);
-        assert_bits_eq(&x, &y);
-        let mut u = vec![0.0; k * n];
-        let mut v = vec![0.0; k * n];
-        NaiveKernel.gemm_tn(m, k, n, &a, &b, &mut u);
-        SimdKernel.gemm_tn(m, k, n, &a, &b, &mut v);
-        assert_bits_eq(&u, &v);
     }
 
     #[test]
@@ -3918,48 +2779,27 @@ mod tests {
     }
 
     #[test]
-    fn fast_kernel_is_accurate_if_not_bit_identical() {
-        let (m, k, n) = (24, 31, 18);
-        let a = fill(m * k, 61);
-        let b = fill(k * n, 62);
-        let mut want = vec![0.0; m * n];
-        NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
-        let mut got = vec![0.0; m * n];
-        FastKernel.gemm(m, k, n, &a, &b, &mut got);
-        for (w, g) in want.iter().zip(&got) {
-            assert!((w - g).abs() <= 1e-9 * (1.0 + w.abs()), "{w} vs {g}");
-        }
-        let mut mv_want = vec![0.0; m];
-        let mut mv_got = vec![0.0; m];
-        let v = fill(k, 63);
-        NaiveKernel.matvec(m, k, &a, &v, &mut mv_want);
-        FastKernel.matvec(m, k, &a, &v, &mut mv_got);
-        for (w, g) in mv_want.iter().zip(&mv_got) {
-            assert!((w - g).abs() <= 1e-9 * (1.0 + w.abs()), "{w} vs {g}");
-        }
-    }
-
-    #[test]
     fn prepacked_matches_pack_on_call_bitwise() {
         // Every backend, every prepacked entry point, across degenerate,
-        // small-m (axpy fallback boundary), and general shapes: the
-        // prepacked product must equal its pack-on-call twin bit-for-bit.
+        // small-m (axpy fallback boundary), and general shapes on both
+        // sides of the small-core cutoff: the prepacked product must equal
+        // its pack-on-call twin bit-for-bit.
         let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
-        for &(m, k, n) in &[(1, 1, 1), (3, 9, 8), (7, 5, 3), (17, 13, 11), (33, 29, 37)] {
+        let backends: [&dyn GemmBackend; 3] = [&NaiveKernel, &BlockedKernel, &sharded];
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 9, 8),
+            (7, 5, 3),
+            (17, 13, 11),
+            (33, 29, 37),
+            (3, 64, 33),
+            (70, 65, 40),
+        ] {
             let a = fill(m * k, 71 + m as u64);
             let b = fill(k * n, 72 + n as u64);
             let bt = fill(n * k, 73 + k as u64);
             let c = fill(m * n, 74 + m as u64);
             for backend in backends {
-                let name = backend.name();
-
                 let mut plain = vec![0.0; m * n];
                 backend.gemm(m, k, n, &a, &b, &mut plain);
                 let pb = backend.pack_b(k, n, &b);
@@ -3973,15 +2813,7 @@ mod tests {
                 let pbt = backend.pack_b_t(k, n, &bt);
                 let mut packed_nt = vec![0.0; m * n];
                 backend.gemm_nt_prepacked(m, k, n, &a, &pbt, &mut packed_nt);
-                // `fast` reassociates, so its nt twin is only guaranteed
-                // close; every deterministic backend must match bitwise.
-                if name != "fast" {
-                    assert_bits_eq(&plain_nt, &packed_nt);
-                } else {
-                    for (x, y) in plain_nt.iter().zip(&packed_nt) {
-                        assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-                    }
-                }
+                assert_bits_eq(&plain_nt, &packed_nt);
 
                 let mut plain_tn = vec![0.0; k * n];
                 backend.gemm_tn(m, k, n, &a, &c, &mut plain_tn);
@@ -3989,13 +2821,7 @@ mod tests {
                 assert_eq!((pa.m(), pa.k()), (m, k));
                 let mut packed_tn = vec![0.0; k * n];
                 backend.gemm_tn_prepacked(m, k, n, &pa, &c, &mut packed_tn);
-                if name != "fast" {
-                    assert_bits_eq(&plain_tn, &packed_tn);
-                } else {
-                    for (x, y) in plain_tn.iter().zip(&packed_tn) {
-                        assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-                    }
-                }
+                assert_bits_eq(&plain_tn, &packed_tn);
             }
         }
     }
@@ -4007,13 +2833,7 @@ mod tests {
         // on the same backend — including the k == 0 edge (bias only),
         // narrow tails, and the raw fallback handles.
         let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
+        let backends: [&dyn GemmBackend; 3] = [&NaiveKernel, &BlockedKernel, &sharded];
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 9, 8),
@@ -4024,6 +2844,8 @@ mod tests {
             (0, 3, 5),
             (5, 4, 0),
             (2, 8, 30),
+            (2, 64, 33),
+            (9, 65, 40),
         ] {
             let a = fill(m * k, 91 + m as u64);
             let b = fill(k * n, 92 + n as u64);
@@ -4068,9 +2890,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "bias length mismatch")]
     fn fused_bias_rejects_wrong_bias_length() {
-        let pb = SimdKernel.pack_b(4, 4, &fill(16, 97));
-        let mut out = vec![0.0; 3 * 4];
-        SimdKernel.gemm_prepacked_bias(3, 4, 4, &fill(12, 98), &pb, &fill(3, 99), &mut out);
+        let (k, n) = (64, 33);
+        let pb = BlockedKernel.pack_b(k, n, &fill(k * n, 97));
+        assert_eq!(pb.layout, PackLayout::Panels);
+        let mut out = vec![0.0; 3 * n];
+        BlockedKernel.gemm_prepacked_bias(3, k, n, &fill(3 * k, 98), &pb, &fill(3, 99), &mut out);
     }
 
     fn relu_reference(out: &mut [f64]) {
@@ -4089,13 +2913,7 @@ mod tests {
         // same backend — the clamp happens at each element's single
         // write-back, never inside a summation chain.
         let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
+        let backends: [&dyn GemmBackend; 3] = [&NaiveKernel, &BlockedKernel, &sharded];
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 9, 8),
@@ -4106,6 +2924,8 @@ mod tests {
             (0, 3, 5),
             (5, 4, 0),
             (2, 8, 30),
+            (2, 64, 33),
+            (9, 65, 40),
         ] {
             let a = fill(m * k, 141 + m as u64);
             let b = fill(k * n, 142 + n as u64);
@@ -4138,7 +2958,6 @@ mod tests {
         for backend in [
             &NaiveKernel as &dyn GemmBackend,
             &BlockedKernel,
-            &SimdKernel,
             &ShardedKernel::with_threads(2),
         ] {
             let pb = backend.pack_b(0, 4, &[]);
@@ -4171,15 +2990,16 @@ mod tests {
         // All three operand modes (block-diagonal, shared-A, shared-B)
         // must reproduce the N-sequential-`gemm` bits on every backend.
         let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
+        let backends: [&dyn GemmBackend; 3] = [&NaiveKernel, &BlockedKernel, &sharded];
         let batch = 5usize;
-        for &(m, k, n) in &[(1, 1, 1), (3, 9, 8), (7, 5, 3), (17, 13, 11), (2, 8, 30)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 9, 8),
+            (7, 5, 3),
+            (17, 13, 11),
+            (2, 8, 30),
+            (6, 64, 40),
+        ] {
             let avs: Vec<Vec<f64>> = (0..batch)
                 .map(|i| fill(m * k, 151 + (i * 7 + m) as u64))
                 .collect();
@@ -4218,98 +3038,92 @@ mod tests {
 
     #[test]
     fn batched_nt_tn_match_sequential_bitwise() {
-        let (m, k, n) = (9, 7, 6);
-        let batch = 4usize;
-        let avs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * k, 161 + i as u64)).collect();
-        let btvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(n * k, 162 + i as u64)).collect();
-        let bvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * n, 163 + i as u64)).collect();
-        let sharded = ShardedKernel::with_threads(2);
-        for backend in [
-            &NaiveKernel as &dyn GemmBackend,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-        ] {
-            let a: Vec<&[f64]> = avs.iter().map(|v| v.as_slice()).collect();
-            let bt: Vec<&[f64]> = btvs.iter().map(|v| v.as_slice()).collect();
-            let mut want = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want.iter_mut().enumerate() {
-                backend.gemm_nt(m, k, n, &avs[i], &btvs[i], w);
-            }
-            let mut store = vec![vec![0.0; m * n]; batch];
-            let mut outs: Vec<&mut [f64]> = store.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_nt(m, k, n, &a, &bt, &mut outs);
-            for (w, g) in want.iter().zip(&store) {
-                assert_bits_eq(w, g);
-            }
+        for (m, k, n) in [(9, 7, 6), (70, 64, 40)] {
+            let batch = 4usize;
+            let avs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * k, 161 + i as u64)).collect();
+            let btvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(n * k, 162 + i as u64)).collect();
+            let bvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * n, 163 + i as u64)).collect();
+            let sharded = ShardedKernel::with_threads(2);
+            for backend in [&NaiveKernel as &dyn GemmBackend, &BlockedKernel, &sharded] {
+                let a: Vec<&[f64]> = avs.iter().map(|v| v.as_slice()).collect();
+                let bt: Vec<&[f64]> = btvs.iter().map(|v| v.as_slice()).collect();
+                let mut want = vec![vec![0.0; m * n]; batch];
+                for (i, w) in want.iter_mut().enumerate() {
+                    backend.gemm_nt(m, k, n, &avs[i], &btvs[i], w);
+                }
+                let mut store = vec![vec![0.0; m * n]; batch];
+                let mut outs: Vec<&mut [f64]> =
+                    store.iter_mut().map(|v| v.as_mut_slice()).collect();
+                backend.gemm_batched_nt(m, k, n, &a, &bt, &mut outs);
+                for (w, g) in want.iter().zip(&store) {
+                    assert_bits_eq(w, g);
+                }
 
-            let b: Vec<&[f64]> = bvs.iter().map(|v| v.as_slice()).collect();
-            let mut want_tn = vec![vec![0.0; k * n]; batch];
-            for (i, w) in want_tn.iter_mut().enumerate() {
-                backend.gemm_tn(m, k, n, &avs[i], &bvs[i], w);
-            }
-            let mut store_tn = vec![vec![0.0; k * n]; batch];
-            let mut outs_tn: Vec<&mut [f64]> =
-                store_tn.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_tn(m, k, n, &a, &b, &mut outs_tn);
-            for (w, g) in want_tn.iter().zip(&store_tn) {
-                assert_bits_eq(w, g);
+                let b: Vec<&[f64]> = bvs.iter().map(|v| v.as_slice()).collect();
+                let mut want_tn = vec![vec![0.0; k * n]; batch];
+                for (i, w) in want_tn.iter_mut().enumerate() {
+                    backend.gemm_tn(m, k, n, &avs[i], &bvs[i], w);
+                }
+                let mut store_tn = vec![vec![0.0; k * n]; batch];
+                let mut outs_tn: Vec<&mut [f64]> =
+                    store_tn.iter_mut().map(|v| v.as_mut_slice()).collect();
+                backend.gemm_batched_tn(m, k, n, &a, &b, &mut outs_tn);
+                for (w, g) in want_tn.iter().zip(&store_tn) {
+                    assert_bits_eq(w, g);
+                }
             }
         }
     }
 
     #[test]
     fn batched_prepacked_variants_match_sequential_bitwise() {
-        let (m, k, n) = (6, 11, 9);
-        let batch = 4usize;
-        let avs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * k, 171 + i as u64)).collect();
-        let bvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(k * n, 172 + i as u64)).collect();
-        let biasvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(n, 173 + i as u64)).collect();
-        let sharded = ShardedKernel::with_threads(2);
-        for backend in [
-            &NaiveKernel as &dyn GemmBackend,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-        ] {
-            let packs: Vec<PackedB> = bvs.iter().map(|b| backend.pack_b(k, n, b)).collect();
-            let a: Vec<&[f64]> = avs.iter().map(|v| v.as_slice()).collect();
-            let pbs: Vec<&PackedB> = packs.iter().collect();
-            let biases: Vec<&[f64]> = biasvs.iter().map(|v| v.as_slice()).collect();
+        for (m, k, n) in [(6, 11, 9), (6, 64, 40)] {
+            let batch = 4usize;
+            let avs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * k, 171 + i as u64)).collect();
+            let bvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(k * n, 172 + i as u64)).collect();
+            let biasvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(n, 173 + i as u64)).collect();
+            let sharded = ShardedKernel::with_threads(2);
+            for backend in [&NaiveKernel as &dyn GemmBackend, &BlockedKernel, &sharded] {
+                let packs: Vec<PackedB> = bvs.iter().map(|b| backend.pack_b(k, n, b)).collect();
+                let a: Vec<&[f64]> = avs.iter().map(|v| v.as_slice()).collect();
+                let pbs: Vec<&PackedB> = packs.iter().collect();
+                let biases: Vec<&[f64]> = biasvs.iter().map(|v| v.as_slice()).collect();
 
-            let mut want = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want.iter_mut().enumerate() {
-                backend.gemm_prepacked(m, k, n, &avs[i], &packs[i], w);
-            }
-            let mut store = vec![vec![0.0; m * n]; batch];
-            let mut outs: Vec<&mut [f64]> = store.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_prepacked(m, k, n, &a, &pbs, &mut outs);
-            for (w, g) in want.iter().zip(&store) {
-                assert_bits_eq(w, g);
-            }
+                let mut want = vec![vec![0.0; m * n]; batch];
+                for (i, w) in want.iter_mut().enumerate() {
+                    backend.gemm_prepacked(m, k, n, &avs[i], &packs[i], w);
+                }
+                let mut store = vec![vec![0.0; m * n]; batch];
+                let mut outs: Vec<&mut [f64]> =
+                    store.iter_mut().map(|v| v.as_mut_slice()).collect();
+                backend.gemm_batched_prepacked(m, k, n, &a, &pbs, &mut outs);
+                for (w, g) in want.iter().zip(&store) {
+                    assert_bits_eq(w, g);
+                }
 
-            let mut want_b = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want_b.iter_mut().enumerate() {
-                backend.gemm_prepacked_bias(m, k, n, &avs[i], &packs[i], &biasvs[i], w);
-            }
-            let mut store_b = vec![vec![0.0; m * n]; batch];
-            let mut outs_b: Vec<&mut [f64]> =
-                store_b.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_prepacked_bias(m, k, n, &a, &pbs, &biases, &mut outs_b);
-            for (w, g) in want_b.iter().zip(&store_b) {
-                assert_bits_eq(w, g);
-            }
+                let mut want_b = vec![vec![0.0; m * n]; batch];
+                for (i, w) in want_b.iter_mut().enumerate() {
+                    backend.gemm_prepacked_bias(m, k, n, &avs[i], &packs[i], &biasvs[i], w);
+                }
+                let mut store_b = vec![vec![0.0; m * n]; batch];
+                let mut outs_b: Vec<&mut [f64]> =
+                    store_b.iter_mut().map(|v| v.as_mut_slice()).collect();
+                backend.gemm_batched_prepacked_bias(m, k, n, &a, &pbs, &biases, &mut outs_b);
+                for (w, g) in want_b.iter().zip(&store_b) {
+                    assert_bits_eq(w, g);
+                }
 
-            let mut want_r = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want_r.iter_mut().enumerate() {
-                backend.gemm_prepacked_bias_relu(m, k, n, &avs[i], &packs[i], &biasvs[i], w);
-            }
-            let mut store_r = vec![vec![0.0; m * n]; batch];
-            let mut outs_r: Vec<&mut [f64]> =
-                store_r.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_prepacked_bias_relu(m, k, n, &a, &pbs, &biases, &mut outs_r);
-            for (w, g) in want_r.iter().zip(&store_r) {
-                assert_bits_eq(w, g);
+                let mut want_r = vec![vec![0.0; m * n]; batch];
+                for (i, w) in want_r.iter_mut().enumerate() {
+                    backend.gemm_prepacked_bias_relu(m, k, n, &avs[i], &packs[i], &biasvs[i], w);
+                }
+                let mut store_r = vec![vec![0.0; m * n]; batch];
+                let mut outs_r: Vec<&mut [f64]> =
+                    store_r.iter_mut().map(|v| v.as_mut_slice()).collect();
+                backend.gemm_batched_prepacked_bias_relu(m, k, n, &a, &pbs, &biases, &mut outs_r);
+                for (w, g) in want_r.iter().zip(&store_r) {
+                    assert_bits_eq(w, g);
+                }
             }
         }
     }
@@ -4354,28 +3168,29 @@ mod tests {
         let mut o2 = vec![0.0; 4];
         let mut o3 = vec![0.0; 4];
         let mut outs: Vec<&mut [f64]> = vec![&mut o1, &mut o2, &mut o3];
-        SimdKernel.gemm_batched(2, 3, 2, &[&a1, &a2], &[&b1], &mut outs);
+        BlockedKernel.gemm_batched(2, 3, 2, &[&a1, &a2], &[&b1], &mut outs);
     }
 
     #[test]
     fn prepacked_handle_reused_across_calls() {
         // The point of the API: pack once, multiply many different
-        // left-hand sides — each call must match its pack-on-call twin.
-        let (k, n) = (23, 17);
-        let b = fill(k * n, 81);
-        for backend in [
-            &BlockedKernel as &dyn GemmBackend,
-            &SimdKernel,
-            &ShardedKernel::with_threads(2),
-        ] {
-            let pb = backend.pack_b(k, n, &b);
-            for (round, &m) in [1usize, 6, 13].iter().enumerate() {
-                let a = fill(m * k, 82 + round as u64);
-                let mut plain = vec![0.0; m * n];
-                backend.gemm(m, k, n, &a, &b, &mut plain);
-                let mut packed = vec![0.0; m * n];
-                backend.gemm_prepacked(m, k, n, &a, &pb, &mut packed);
-                assert_bits_eq(&plain, &packed);
+        // left-hand sides — each call must match its pack-on-call twin,
+        // for a raw (small-core) and a panel handle.
+        for (k, n) in [(23, 17), (64, 40)] {
+            let b = fill(k * n, 81);
+            for backend in [
+                &BlockedKernel as &dyn GemmBackend,
+                &ShardedKernel::with_threads(2),
+            ] {
+                let pb = backend.pack_b(k, n, &b);
+                for (round, &m) in [1usize, 6, 13].iter().enumerate() {
+                    let a = fill(m * k, 82 + round as u64);
+                    let mut plain = vec![0.0; m * n];
+                    backend.gemm(m, k, n, &a, &b, &mut plain);
+                    let mut packed = vec![0.0; m * n];
+                    backend.gemm_prepacked(m, k, n, &a, &pb, &mut packed);
+                    assert_bits_eq(&plain, &packed);
+                }
             }
         }
     }
@@ -4397,23 +3212,25 @@ mod tests {
 
     #[test]
     fn pack_b_into_reuses_allocation_and_repacks() {
-        let (k, n) = (31, 24);
+        // A panel handle: `B` is above the small-core cutoff.
+        let (k, n) = (64, 40);
         let b1 = fill(k * n, 85);
         let b2 = fill(k * n, 86);
         let mut pb = PackedB::default();
-        SimdKernel.pack_b_into(k, n, &b1, &mut pb);
+        BlockedKernel.pack_b_into(k, n, &b1, &mut pb);
+        assert_eq!(pb.layout, PackLayout::Panels);
         let cap = pb.data.capacity();
         let a = fill(9 * k, 87);
         let mut first = vec![0.0; 9 * n];
-        SimdKernel.gemm_prepacked(9, k, n, &a, &pb, &mut first);
+        BlockedKernel.gemm_prepacked(9, k, n, &a, &pb, &mut first);
         // Re-pack (the optimizer-update invalidation path) into the same
         // allocation; results must track the new operand.
-        SimdKernel.pack_b_into(k, n, &b2, &mut pb);
+        BlockedKernel.pack_b_into(k, n, &b2, &mut pb);
         assert_eq!(pb.data.capacity(), cap, "allocation reused");
         let mut second = vec![0.0; 9 * n];
-        SimdKernel.gemm_prepacked(9, k, n, &a, &pb, &mut second);
+        BlockedKernel.gemm_prepacked(9, k, n, &a, &pb, &mut second);
         let mut want = vec![0.0; 9 * n];
-        SimdKernel.gemm(9, k, n, &a, &b2, &mut want);
+        BlockedKernel.gemm(9, k, n, &a, &b2, &mut want);
         assert_bits_eq(&want, &second);
     }
 
@@ -4422,9 +3239,10 @@ mod tests {
         let pb = BlockedKernel.pack_b(0, 4, &[]);
         let mut out = vec![1.0; 0];
         BlockedKernel.gemm_prepacked(0, 0, 4, &[], &pb, &mut out);
-        let pb2 = SimdKernel.pack_b(3, 0, &[]);
+        let sharded = ShardedKernel::with_threads(2);
+        let pb2 = sharded.pack_b(3, 0, &[]);
         let mut out2: Vec<f64> = Vec::new();
-        SimdKernel.gemm_prepacked(2, 3, 0, &fill(6, 1), &pb2, &mut out2);
+        sharded.gemm_prepacked(2, 3, 0, &fill(6, 1), &pb2, &mut out2);
         let pa = NaiveKernel.pack_a(0, 2, &[]);
         let mut out3 = vec![0.0; 2 * 3];
         NaiveKernel.gemm_tn_prepacked(0, 2, 3, &pa, &[], &mut out3);
@@ -4439,16 +3257,16 @@ mod tests {
         BlockedKernel.gemm_prepacked(3, 4, 5, &fill(12, 2), &pb, &mut out);
     }
 
-    /// Every small-core instantiation this CPU can run.
-    fn small_isas() -> Vec<SmallIsa> {
-        let mut isas = vec![SmallIsa::Portable];
+    /// Every core instantiation this CPU can run.
+    fn isas() -> Vec<Isa> {
+        let mut isas = vec![Isa::Portable];
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                isas.push(SmallIsa::Avx2);
+                isas.push(Isa::Avx2);
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                isas.push(SmallIsa::Avx512);
+                isas.push(Isa::Avx512);
             }
         }
         isas
@@ -4460,7 +3278,7 @@ mod tests {
         // column tail of the 8/4/2/1 tiling, every row remainder of the
         // 4-row tiling, both `A` strides, accumulation into a non-zero
         // `out`, and the bias and ReLU epilogues.
-        for isa in small_isas() {
+        for isa in isas() {
             for m in (1..=5).chain(31..=33) {
                 for n in [1, 2, 3, 5, 7, 9, 10] {
                     for k in [1, 4, 13] {
@@ -4558,7 +3376,7 @@ mod tests {
         relu_rows(&mut want);
         assert!(want.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
         assert!(want.iter().any(|v| v.is_nan()));
-        for isa in small_isas() {
+        for isa in isas() {
             let mut got = vec![-0.0; m * n];
             BlockedKernel::small_gemm_on(isa, m, 1, n, &a, (1, 1), &b, Some(&bias), true, &mut got);
             assert_eq!(bits(&want), bits(&got), "{isa:?}");
@@ -4573,12 +3391,103 @@ mod tests {
         let raw = BlockedKernel.pack_b(32, 64, &fill(32 * 64, 1));
         assert_eq!(raw.layout, PackLayout::Raw);
         let panels = BlockedKernel.pack_b_t(3, 683, &fill(3 * 683, 2));
-        assert_eq!(panels.layout, PackLayout::Panels4);
+        assert_eq!(panels.layout, PackLayout::Panels);
     }
 
     #[test]
-    fn simd_force_names_lists_both_values() {
-        assert_eq!(simd_force_names(), "avx2 | scalar");
+    fn packed_isas_match_naive_bitwise() {
+        // Each packed-core instantiation, called directly, against the
+        // reference: `n` tails around the 8-wide panel (a lone narrow
+        // panel, one full panel, full panels plus a tail), row remainders
+        // of the 4- and 8-row tiles, accumulation into a non-zero `out`,
+        // and the bias and ReLU epilogues. The widest case runs a `k` whose
+        // panels fill more than one `SIMD_PANEL_BLOCK_BYTES` block, so
+        // the block loop walks at least two blocks on every instantiation.
+        let long_k = SIMD_PANEL_BLOCK_BYTES / (SPW * 8) / 2;
+        let mut cases = Vec::new();
+        for m in (1..=5).chain([8, 9, 17]) {
+            for n in [1, 7, 8, 9, 17] {
+                for k in [1, 13] {
+                    cases.push((m, k, n));
+                }
+            }
+            cases.push((m, long_k, 33));
+        }
+        for isa in isas() {
+            for &(m, k, n) in &cases {
+                let seed = (m * 1000 + n * 10 + k) as u64;
+                let a = fill(m * k, seed);
+                let b = fill(k * n, seed + 1);
+                let bias = fill(n, seed + 2);
+                let init = fill(m * n, seed + 3);
+                let mut packed = Vec::new();
+                BlockedKernel::pack_panels_into(k, n, &b, &mut packed);
+                let tag = format!("{isa:?} m={m} k={k} n={n}");
+
+                let mut want = init.clone();
+                NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                let mut got = init.clone();
+                BlockedKernel::packed_gemm_on(isa, m, k, n, &a, &packed, None, false, &mut got);
+                assert_eq!(bits(&want), bits(&got), "gemm {tag}");
+
+                bias_rows(n, &bias, &mut want);
+                let mut got = init.clone();
+                BlockedKernel::packed_gemm_on(
+                    isa,
+                    m,
+                    k,
+                    n,
+                    &a,
+                    &packed,
+                    Some(&bias),
+                    false,
+                    &mut got,
+                );
+                assert_eq!(bits(&want), bits(&got), "bias {tag}");
+
+                relu_rows(&mut want);
+                let mut got = init;
+                BlockedKernel::packed_gemm_on(
+                    isa,
+                    m,
+                    k,
+                    n,
+                    &a,
+                    &packed,
+                    Some(&bias),
+                    true,
+                    &mut got,
+                );
+                assert_eq!(bits(&want), bits(&got), "bias+relu {tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_isas_relu_keeps_negative_zero_and_nan() {
+        // k = 1 over a `-0.0` seed: signed zeros, NaN, negatives and
+        // positives reach the clamp in the full 8-row tiles, the row
+        // remainder, both full panels and the 1-wide tail panel. The clamp
+        // is `< 0.0`, so -0.0 and NaN pass through untouched.
+        let (m, n) = (9, 17);
+        let a = [-0.0, f64::NAN, 1.0, -1.0, 0.0, 2.0, -0.0, -3.0, 0.5];
+        let b: Vec<f64> = (0..n)
+            .map(|j| [-0.0, 0.0, 1.0, -1.0, -2.0][j % 5])
+            .collect();
+        let bias: Vec<f64> = (0..n).map(|j| [-0.0, 0.0, 0.5, -0.0][j % 4]).collect();
+        let mut want = vec![-0.0; m * n];
+        NaiveKernel.gemm(m, 1, n, &a, &b, &mut want);
+        bias_rows(n, &bias, &mut want);
+        relu_rows(&mut want);
+        assert!(want.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert!(want.iter().any(|v| v.is_nan()));
+        let mut packed = Vec::new();
+        BlockedKernel::pack_panels_into(1, n, &b, &mut packed);
+        for isa in isas() {
+            let mut got = vec![-0.0; m * n];
+            BlockedKernel::packed_gemm_on(isa, m, 1, n, &a, &packed, Some(&bias), true, &mut got);
+            assert_eq!(bits(&want), bits(&got), "{isa:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use st_linalg::{
     cholesky_solve, dot, gaussian_solve, l2_norm, log_sum_exp, mean, quantile, sigmoid,
     softmax_in_place, sub, variance, BlockedKernel, GemmBackend, Matrix, NaiveKernel,
-    ShardedKernel, SimdKernel,
+    ShardedKernel,
 };
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -267,8 +267,8 @@ fn assert_bits_equal(op: &str, a: &[f64], b: &[f64]) {
 }
 
 /// Runs every backend op on one `(m, k, n)` shape and asserts bitwise
-/// equality of every deterministic backend — blocked, simd, and sharded
-/// at 1, 2, and N worker threads — against the naive reference.
+/// equality of every backend — blocked, and sharded at 1, 2, and N worker
+/// threads — against the naive reference.
 fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed);
     let b = kernel_data(k * n, seed.wrapping_add(1));
@@ -280,13 +280,7 @@ fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let sharded1 = ShardedKernel::with_threads(1);
     let sharded2 = ShardedKernel::with_threads(2);
     let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 5] = [
-        &BlockedKernel,
-        &SimdKernel,
-        &sharded1,
-        &sharded2,
-        &sharded_n,
-    ];
+    let backends: [&dyn GemmBackend; 4] = [&BlockedKernel, &sharded1, &sharded2, &sharded_n];
 
     let mut x = vec![0.0; m * n];
     NaiveKernel.gemm(m, k, n, &a, &b, &mut x);
@@ -331,7 +325,7 @@ fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
 
 /// Asserts the prepacked entry points are `to_bits`-identical to their
 /// pack-on-call twins for every deterministic backend — naive (raw
-/// fallback handle), blocked, simd, and sharded at 1, 2, and N worker
+/// fallback handle), blocked, and sharded at 1, 2, and N worker
 /// threads — on one `(m, k, n)` shape.
 fn check_prepacked_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(11));
@@ -342,10 +336,9 @@ fn check_prepacked_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let sharded1 = ShardedKernel::with_threads(1);
     let sharded2 = ShardedKernel::with_threads(2);
     let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 6] = [
+    let backends: [&dyn GemmBackend; 5] = [
         &NaiveKernel,
         &BlockedKernel,
-        &SimdKernel,
         &sharded1,
         &sharded2,
         &sharded_n,
@@ -380,7 +373,7 @@ fn check_prepacked_equivalence(m: usize, k: usize, n: usize, seed: u64) {
 /// Asserts the fused-bias epilogue (`gemm_prepacked_bias`) is
 /// `to_bits`-identical to `gemm_prepacked` followed by a separate
 /// element-wise bias pass, for every deterministic backend — naive (raw
-/// fallback handle), blocked, simd, and sharded at 1, 2, and N worker
+/// fallback handle), blocked, and sharded at 1, 2, and N worker
 /// threads — on one `(m, k, n)` shape.
 fn check_fused_bias_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(21));
@@ -390,10 +383,9 @@ fn check_fused_bias_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let sharded1 = ShardedKernel::with_threads(1);
     let sharded2 = ShardedKernel::with_threads(2);
     let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 6] = [
+    let backends: [&dyn GemmBackend; 5] = [
         &NaiveKernel,
         &BlockedKernel,
-        &SimdKernel,
         &sharded1,
         &sharded2,
         &sharded_n,
@@ -420,7 +412,7 @@ fn check_fused_bias_equivalence(m: usize, k: usize, n: usize, seed: u64) {
 /// Asserts the fused-ReLU epilogue (`gemm_prepacked_bias_relu`) is
 /// `to_bits`-identical to `gemm_prepacked_bias` followed by a separate
 /// clamp-at-zero pass, for every deterministic backend — naive (raw
-/// fallback handle), blocked, simd, and sharded at 1, 2, and N worker
+/// fallback handle), blocked, and sharded at 1, 2, and N worker
 /// threads — on one `(m, k, n)` shape.
 fn check_fused_relu_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(26));
@@ -430,10 +422,9 @@ fn check_fused_relu_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let sharded1 = ShardedKernel::with_threads(1);
     let sharded2 = ShardedKernel::with_threads(2);
     let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 6] = [
+    let backends: [&dyn GemmBackend; 5] = [
         &NaiveKernel,
         &BlockedKernel,
-        &SimdKernel,
         &sharded1,
         &sharded2,
         &sharded_n,
@@ -485,10 +476,9 @@ fn check_batched_equivalence(m: usize, k: usize, n: usize, batch: usize, seed: u
     let sharded1 = ShardedKernel::with_threads(1);
     let sharded2 = ShardedKernel::with_threads(2);
     let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 6] = [
+    let backends: [&dyn GemmBackend; 5] = [
         &NaiveKernel,
         &BlockedKernel,
-        &SimdKernel,
         &sharded1,
         &sharded2,
         &sharded_n,
@@ -668,6 +658,25 @@ proptest! {
         seed in 0u64..100_000,
     ) {
         check_kernel_equivalence(m, k, n, seed);
+    }
+
+    /// Every entry point on random shapes whose streamed operand is above
+    /// `blocked`'s small-core cutoff (`k·n` ≥ 64·33 > 2048; the swapped
+    /// call puts gemm_tn's `m·n` there too): the packed core with random
+    /// row and column remainders, and the axpy path for `m` < 5.
+    #[test]
+    fn kernels_bit_identical_on_random_shapes_above_the_cutoff(
+        m in 0usize..80,
+        k in 64usize..80,
+        n in 33usize..48,
+        seed in 0u64..100_000,
+    ) {
+        check_kernel_equivalence(m, k, n, seed);
+        check_kernel_equivalence(k, m, n, seed);
+        check_prepacked_equivalence(m, k, n, seed);
+        check_fused_bias_equivalence(m, k, n, seed);
+        check_fused_relu_equivalence(m, k, n, seed);
+        check_batched_equivalence(m, k, n, 2, seed);
     }
 
     /// Prepacked gemm/gemm_nt/gemm_tn vs their pack-on-call twins on

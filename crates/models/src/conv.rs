@@ -614,6 +614,7 @@ impl Classifier for ConvNet {
 mod tests {
     use super::*;
     use crate::classifier::{accuracy_of, log_loss_of};
+    use st_linalg::GemmBackend;
 
     const SHAPE: ImageShape = ImageShape {
         channels: 1,
@@ -754,6 +755,41 @@ mod tests {
             .packed()
             .log_loss_scratch(&Matrix::zeros(0, SHAPE.flat_len()), &[], &mut s)
             .is_nan());
+    }
+
+    #[test]
+    fn packed_view_matches_pack_on_call_on_both_sides_of_the_cutoff() {
+        // The view's panel handles against pack-on-call (`Raw`) handles fed
+        // through the same forward body. 4 filters keep the 9×4 kernel bank
+        // and the 36×2 head on the kernel's small core; 240 filters put the
+        // 9×240 bank and the 2160×2 head above the 2048-element cutoff.
+        let (x, _) = bars(3, 13);
+        for filters in [4, 240] {
+            let net = ConvNet::new(SHAPE, filters, 3, 2, &mut seeded_rng(filters as u64));
+            let mut s = ConvEvalScratch::default();
+            net.packed().logits_into(&x, &mut s);
+
+            let patch = net.conv.in_ch * net.conv.k * net.conv.k;
+            let w_raw = st_linalg::NaiveKernel.pack_b_t(patch, filters, &net.conv.w);
+            let (fan_in, fan_out) = (net.head.fan_in(), net.head.fan_out());
+            let head_raw = st_linalg::NaiveKernel.pack_b(fan_in, fan_out, net.head.w.as_slice());
+            let mut r = ConvEvalScratch::default();
+            net.forward_core(
+                &x,
+                &w_raw,
+                &head_raw,
+                &mut r.cols,
+                &mut r.conv_out,
+                &mut r.relu,
+                &mut r.pooled,
+                &mut r.argmax,
+                &mut r.logits,
+            );
+            assert_eq!(r.logits.as_slice().len(), s.logits.as_slice().len());
+            for (w, g) in r.logits.as_slice().iter().zip(s.logits.as_slice()) {
+                assert_eq!(w.to_bits(), g.to_bits(), "{filters} filters: {w} vs {g}");
+            }
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub fn accuracy(model: &Mlp, x: &Matrix, y: &[usize]) -> f64 {
 /// softmax-regression shape of the estimator's hottest cell — the weight
 /// matrices are column-stacked into one `d × (R·c)` operand
 /// `[W_1 | … | W_R]` so a single packed GEMM scores every model per batch,
-/// filling the simd panels that a 2-column per-model product leaves idle.
+/// filling the packed panels that a 2-column per-model product leaves idle.
 /// Deeper models fall back to per-model packed views sharing one scratch.
 ///
 /// Per-model losses are bit-identical to [`log_loss_packed_scratch`]

@@ -47,13 +47,6 @@ impl Layer {
     /// [`forward`](Self::forward) into a reusable output matrix (same
     /// ops, identical bits, no allocation in steady state).
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        if st_linalg::prepack_forced() {
-            // ST_PREPACK=1: route even single-use forwards through the
-            // prepacked API (pack-on-call) so CI exercises it everywhere.
-            let pack = self.pack_weights();
-            self.forward_prepacked_into(&pack, x, out);
-            return;
-        }
         x.matmul_into(&self.w, out);
         out.add_bias_rows(&self.b);
     }
@@ -333,11 +326,20 @@ mod tests {
     #[test]
     fn packed_view_is_bit_identical_to_plain_forward() {
         let mut rng = seeded_rng(21);
-        for hidden in [&[] as &[usize], &[7], &[9, 6]] {
-            let net = Mlp::new(5, hidden, 3, &mut rng);
+        // The last two nets put every hidden layer on one side of the
+        // kernel's small-core cutoff: 16×32 and 32×32 weights below it,
+        // 64×64 above it.
+        for (dim, hidden) in [
+            (5, &[] as &[usize]),
+            (5, &[7]),
+            (5, &[9, 6]),
+            (16, &[32, 32]),
+            (64, &[64, 64]),
+        ] {
+            let net = Mlp::new(dim, hidden, 3, &mut rng);
             let packed = net.packed();
             for rows in [1usize, 4, 33] {
-                let x = Matrix::from_fn(rows, 5, |r, c| ((r * 5 + c) as f64 * 0.37).sin());
+                let x = Matrix::from_fn(rows, dim, |r, c| ((r * dim + c) as f64 * 0.37).sin());
                 let want = net.logits(&x);
                 let got = packed.logits(&x);
                 assert_eq!(want.as_slice().len(), got.as_slice().len());
@@ -345,6 +347,43 @@ mod tests {
                     assert_eq!(w.to_bits(), g.to_bits(), "{w} vs {g}");
                 }
                 assert_eq!(net.predict(&x), packed.predict(&x));
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_layer_forward_is_bit_identical_on_both_sides_of_the_cutoff() {
+        let assert_bits_eq = |want: &Matrix, got: &Matrix| {
+            assert_eq!(want.as_slice().len(), got.as_slice().len());
+            for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
+                assert_eq!(w.to_bits(), g.to_bits(), "{w} vs {g}");
+            }
+        };
+        let mut rng = seeded_rng(31);
+        // 16×32 weights run on the kernel's small core, 64×64 (above its
+        // 2048-element cutoff) on the packed core.
+        for (fan_in, fan_out) in [(16, 32), (64, 64)] {
+            let mut layer = Layer::he_init(fan_in, fan_out, &mut rng);
+            layer.b = (0..fan_out).map(|j| (j as f64 * 0.7).cos()).collect();
+            let pack = layer.pack_weights();
+            for rows in [1usize, 5, 33] {
+                let x =
+                    Matrix::from_fn(rows, fan_in, |r, c| ((r * fan_in + c) as f64 * 0.37).sin());
+                let mut want = Matrix::zeros(0, 0);
+                layer.forward_into(&x, &mut want);
+                let mut got = Matrix::zeros(0, 0);
+                layer.forward_prepacked_into(&pack, &x, &mut got);
+                assert_bits_eq(&want, &got);
+
+                // The ReLU variant against the plain forward plus the
+                // model stack's separate clamp.
+                for v in want.as_mut_slice() {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+                layer.forward_prepacked_relu_into(&pack, &x, &mut got);
+                assert_bits_eq(&want, &got);
             }
         }
     }

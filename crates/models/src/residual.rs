@@ -519,35 +519,39 @@ mod tests {
     #[test]
     fn packed_view_is_bit_identical_and_scratch_is_shareable() {
         let (x, y) = blobs(40, &[(-2.0, 0.0), (2.0, 0.0), (0.0, 2.0)], 9);
-        let cfg = ResidualTrainConfig {
-            width: 6,
-            depth: 2,
-            epochs: 3,
-            ..Default::default()
-        };
-        let a = ResidualMlp::train(&x, &y, 2, 3, &cfg);
-        let b = ResidualMlp::train(&x, &y, 2, 3, &ResidualTrainConfig { seed: 5, ..cfg });
-        // One scratch across two models and two batch sizes: the packs live
-        // in the views, so scratch reuse cannot go stale.
-        let mut s = ResidualEvalScratch::default();
-        for net in [&a, &b] {
-            let packed = net.packed();
-            for rows in [1usize, 7] {
-                let xs = x.gather_rows(&(0..rows).collect::<Vec<_>>());
-                let want = net.logits(&xs);
-                packed.logits_into(&xs, &mut s);
-                for (w, g) in want.as_slice().iter().zip(s.cur.as_slice()) {
-                    assert_eq!(w.to_bits(), g.to_bits());
+        // Width 6 keeps the blocks' weights on the kernel's small core and
+        // width 48 (48×48 = 2304 elements) puts them on the packed core.
+        for width in [6, 48] {
+            let cfg = ResidualTrainConfig {
+                width,
+                depth: 2,
+                epochs: 3,
+                ..Default::default()
+            };
+            let a = ResidualMlp::train(&x, &y, 2, 3, &cfg);
+            let b = ResidualMlp::train(&x, &y, 2, 3, &ResidualTrainConfig { seed: 5, ..cfg });
+            // One scratch across two models and two batch sizes: the packs live
+            // in the views, so scratch reuse cannot go stale.
+            let mut s = ResidualEvalScratch::default();
+            for net in [&a, &b] {
+                let packed = net.packed();
+                for rows in [1usize, 7] {
+                    let xs = x.gather_rows(&(0..rows).collect::<Vec<_>>());
+                    let want = net.logits(&xs);
+                    packed.logits_into(&xs, &mut s);
+                    for (w, g) in want.as_slice().iter().zip(s.cur.as_slice()) {
+                        assert_eq!(w.to_bits(), g.to_bits());
+                    }
                 }
+                let want = log_loss_of(net, &x, &y);
+                let got = packed.log_loss_scratch(&x, &y, &mut s);
+                assert_eq!(want.to_bits(), got.to_bits());
             }
-            let want = log_loss_of(net, &x, &y);
-            let got = packed.log_loss_scratch(&x, &y, &mut s);
-            assert_eq!(want.to_bits(), got.to_bits());
+            assert!(a
+                .packed()
+                .log_loss_scratch(&Matrix::zeros(0, 2), &[], &mut s)
+                .is_nan());
         }
-        assert!(a
-            .packed()
-            .log_loss_scratch(&Matrix::zeros(0, 2), &[], &mut s)
-            .is_nan());
     }
 
     #[test]

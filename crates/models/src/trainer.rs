@@ -346,7 +346,7 @@ pub fn train_on_rows_warm(
 /// GEMM plane: one [`st_linalg::matmul_batched_prepacked_bias_relu_into`]
 /// (and `_tn`/`_nt` sibling) call per layer per minibatch step drives every
 /// model's forward/backward product at once, instead of `R` sequential
-/// kernel calls that each under-fill the simd panels and repay packing
+/// kernel calls that each under-fill the packed panels and repay packing
 /// overhead alone.
 ///
 /// Model `r` is **bit-identical** to
